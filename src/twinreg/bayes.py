@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import DataError
 from .kernels import RandomSource
@@ -148,8 +147,9 @@ def sample_posterior(
     lam0 = s2_ols / prior.coef_sd**2
     mu0 = prior.coef_mean
     A = Z.T @ Z + np.diag(lam0)
-    L = np.linalg.cholesky(A)
-    mu_n = cho_solve((L, True), Z.T @ y + lam0 * mu0)
+    # A = L L' so A^-1 = U_inv U_inv' with U_inv = (L')^-1, a single p x p inverse
+    U_inv = np.linalg.inv(np.linalg.cholesky(A).T)
+    mu_n = U_inv @ (U_inv.T @ (Z.T @ y + lam0 * mu0))
 
     a_n = prior.sigma2_shape + 0.5 * n
     b0 = (
@@ -165,10 +165,11 @@ def sample_posterior(
 
     sigma2 = rs.inverse_gammas(draws, a_n, b_n)
     z = rs.normals(draws * p).reshape(draws, p)
-    w = solve_triangular(L, z.T, lower=True, trans="T")  # solves L' w = z
-    beta_c = mu_n[:, None] + np.sqrt(sigma2)[None, :] * w
-    beta = beta_c.T.copy()
-    beta[:, 0] = beta_c[0, :] - beta_c[1:, :].T @ xbar[1:]
+    # draw-major: row k is mu_n + sqrt(sigma2_k) * U_inv z_k, i.e. L' w_k = z_k
+    beta = z @ U_inv.T
+    beta *= np.sqrt(sigma2)[:, None]
+    beta += mu_n
+    beta[:, 0] -= beta[:, 1:] @ xbar[1:]
     return PosteriorDraws(beta=beta, sigma2=sigma2, names=d.names)
 
 

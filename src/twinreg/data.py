@@ -214,6 +214,16 @@ def encode_time(date: datetime.date, origin: datetime.date) -> tuple[int, int]:
     return quarters + 1, date.year - origin.year + 1
 
 
+def _exp_claims(o: Observation) -> float:
+    try:
+        return math.exp(o.av_claims / 1e6)
+    except OverflowError:
+        raise DataError(
+            f"av_claims {o.av_claims!r} on {o.date.isoformat()} overflows "
+            "exp(av_claims / 1e6)"
+        ) from None
+
+
 def apply_transforms(obs: Sequence[Observation]) -> ModelFrame:
     """Build the ModelFrame: time encodings plus the documented scale transforms."""
     if not obs:
@@ -229,7 +239,7 @@ def apply_transforms(obs: Sequence[Observation]) -> ModelFrame:
         ratio=np.array([o.ratio for o in rows]),
         aplir=np.array([o.aplir for o in rows]),
         ffr=np.array([o.ffr for o in rows]),
-        exp_claims=np.array([math.exp(o.av_claims / 1e6) for o in rows]),
+        exp_claims=np.array([_exp_claims(o) for o in rows]),
         loss=np.array([o.loss for o in rows]),
     )
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .data import ModelFrame
 from .errors import DataError, SingularDesignError
@@ -96,7 +95,11 @@ def _qr_solve(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> tuple[np.
             "dependent on the preceding columns",
             column=names[j],
         )
-    beta = solve_triangular(R, Q.T @ y)
+    # back-substitution for R beta = Q'y, row by row from the last
+    qty = Q.T @ y
+    beta = np.empty_like(qty)
+    for i in range(R.shape[0] - 1, -1, -1):
+        beta[i] = (qty[i] - R[i, i + 1 :] @ beta[i + 1 :]) / R[i, i]
     return beta, R
 
 
@@ -115,7 +118,7 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
     df_resid = n - p
     sigma2 = rss / df_resid
 
-    r_inv = solve_triangular(R, np.eye(p))
+    r_inv = np.linalg.solve(R, np.eye(p))
     xtx_inv_diag = np.sum(r_inv * r_inv, axis=1)
     se = np.sqrt(sigma2 * xtx_inv_diag)
 

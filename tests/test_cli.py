@@ -212,6 +212,18 @@ class TestFailureExitCodes:
         assert code == 1
         assert err.startswith("data error:")
 
+    def test_overflowing_transform_is_data_error(self, run, tmp_path):
+        lines = Path(FIXTURE).read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[-1] = "1e12"
+        path = small_csv(tmp_path, [*lines[1:5], ",".join(fields), *lines[6:]])
+        code, out, err = run("report", "--input", path)
+        assert code == 1
+        assert out == b""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error:")
+        assert fields[0] in err
+
     def test_bad_sigma2_scale_is_data_error(self, run):
         code, _, err = run("bayes", "--input", FIXTURE, "--sigma2-scale", "-1")
         assert code == 1
