@@ -278,7 +278,7 @@ def tune(knobs: dict, w: dict, ge: np.ndarray, iters: int = 80) -> dict:
 def posterior_checks(m: dict) -> tuple[bool, dict]:
     frame, design, fit = m["frame"], m["design"], m["fit"]
     prior = T.default_prior(design)
-    post = T.sample_posterior(design, prior, 10_000, T.RandomSource(42))
+    post = T.sample_posterior(design, fit, prior, 10_000, T.RandomSource(42))
     summaries = T.summarize_posterior(post, frame.loss)
     verdicts = T.combined_verdict(fit, summaries)
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DataError
 from .kernels import RandomSource
-from .ols import DesignMatrix, _qr_solve
+from .ols import DesignMatrix, OlsFit
 
 
 @dataclass
@@ -94,8 +94,6 @@ def default_prior(
     y = d.y
     p = d.p
     sd_y = float(np.std(y, ddof=1))
-    if sd_y == 0.0:
-        sd_y = 1.0
     mean = np.zeros(p)
     mean[0] = float(np.mean(y))
     if coef_sd is not None:
@@ -122,6 +120,7 @@ def default_prior(
 
 def sample_posterior(
     d: DesignMatrix,
+    fit: OlsFit,
     prior: PriorSpec,
     draws: int,
     rs: RandomSource,
@@ -133,10 +132,8 @@ def sample_posterior(
     n, p = X.shape
     prior.validate(p)
 
-    # OLS residual variance sets the natural-unit scaling of the prior
-    beta_ols, _ = _qr_solve(X, y, d.names)
-    resid = y - X @ beta_ols
-    s2_ols = float(resid @ resid) / (n - p)
+    # the OLS residual variance of this design sets the natural-unit prior scaling
+    s2_ols = fit.sigma2_hat
     if s2_ols <= 0.0:
         s2_ols = max(float(np.var(y, ddof=1)), 1e-300)
 

@@ -4,36 +4,33 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import json
 import sys
-from dataclasses import dataclass
+from functools import cached_property
 
 from . import bayes, data, describe, ols, report
-from .errors import (
-    ConsistencyError,
-    DataError,
-    ParseError,
-    SingularDesignError,
-)
+from .errors import ConsistencyError, DataError, ParseError, SingularDesignError
 from .kernels import RandomSource
 
+# subcommand -> the report sections it renders, computed in this order
+SECTIONS = {
+    "describe": ("descriptive",),
+    "anova": ("anova",),
+    "ols": ("ols_fit", "ols_diag"),
+    "bayes": ("bayes",),
+    "verdict": ("verdicts",),
+    "report": ("ols_fit", "bayes", "descriptive", "anova", "ols_diag", "verdicts"),
+}
 
-@dataclass
-class RunConfig:
-    command: str
-    input: str
-    fmt: str = "text"
-    group_key: str = "month"
-    draws: int = 10_000
-    seed: int = 42
-    ci_level: float = 0.89
-    pirope_epsilon: float = 1.0
-    no_assoc_threshold: float = 99.0
-    vif_cutoff: float = 10.0
-    use_hdi: bool = False
-    coef_sd: float | None = None
-    sigma2_shape: float = 1.0
-    sigma2_scale: float | None = None
-    quarter_start: str | None = None
+# stderr prefix per failure, most specific type first; each exits with 1
+ERROR_PREFIXES = {
+    ParseError: "parse error",
+    SingularDesignError: "singular design",
+    ConsistencyError: "consistency error",
+    DataError: "data error",
+    OSError: "input error",
+    ValueError: "numeric error",
+}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -138,145 +135,102 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    cfg = RunConfig(command=args.command, input=args.input, fmt=args.fmt)
-    for name in (
-        "group_key",
-        "draws",
-        "seed",
-        "ci_level",
-        "pirope_epsilon",
-        "no_assoc_threshold",
-        "vif_cutoff",
-        "coef_sd",
-        "sigma2_shape",
-        "sigma2_scale",
-        "quarter_start",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "hdi"):
-        cfg.use_hdi = args.hdi
-    if cfg.draws < 1000:
-        parser.error(f"--draws must be at least 1000, got {cfg.draws}")
-    if not 0.0 < cfg.ci_level < 1.0:
-        parser.error(f"--ci-level must lie in (0, 1), got {cfg.ci_level}")
-    if not 0.0 <= cfg.pirope_epsilon <= 100.0:
-        parser.error(
-            f"--pirope-epsilon must lie in [0, 100], got {cfg.pirope_epsilon}"
+def _check_ranges(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    if "draws" in args and args.draws < 1000:
+        parser.error(f"--draws must be at least 1000, got {args.draws}")
+    if "ci_level" in args and not 0.0 < args.ci_level < 1.0:
+        parser.error(f"--ci-level must lie in (0, 1), got {args.ci_level}")
+    if "pirope_epsilon" in args and not 0.0 <= args.pirope_epsilon <= 100.0:
+        parser.error(f"--pirope-epsilon must lie in [0, 100], got {args.pirope_epsilon}")
+
+
+class _Stages:
+    """The pipeline stages of one run; each is computed at most once, on demand."""
+
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+
+    @cached_property
+    def frame(self) -> data.ModelFrame:
+        return data.apply_transforms(data.load_csv(self.args.input))
+
+    @cached_property
+    def design(self) -> ols.DesignMatrix:
+        return ols.build_design(self.frame)
+
+    @cached_property
+    def ols_fit(self) -> ols.OlsFit:
+        return ols.fit_ols(self.design)
+
+    @cached_property
+    def ols_diag(self) -> ols.Diagnostics:
+        return ols.diagnostics(self.design, self.ols_fit, self.args.vif_cutoff)
+
+    @cached_property
+    def descriptive(self) -> list[describe.SummaryRow]:
+        return describe.summarize(self.frame)
+
+    @cached_property
+    def anova(self) -> list[describe.AnovaResult]:
+        groups = (self.args.group_key,) if "group_key" in self.args else ("month", "year")
+        return [getattr(describe, f"anova_by_{g}")(self.frame) for g in groups]
+
+    @cached_property
+    def bayes(self) -> list[bayes.PosteriorSummary]:
+        a, d = self.args, self.design
+        prior = bayes.default_prior(d, a.coef_sd, a.sigma2_shape, a.sigma2_scale)
+        post = bayes.sample_posterior(d, self.ols_fit, prior, a.draws, RandomSource(a.seed))
+        return bayes.summarize_posterior(post, self.frame.loss, level=a.ci_level, use_hdi=a.hdi)
+
+    @cached_property
+    def verdicts(self) -> list[report.Verdict]:
+        return report.combined_verdict(
+            self.ols_fit,
+            self.bayes,
+            pirope_epsilon=self.args.pirope_epsilon,
+            no_assoc_threshold=self.args.no_assoc_threshold,
         )
-    return cfg
 
 
-def _load_frame(cfg: RunConfig) -> data.ModelFrame:
-    return data.apply_transforms(data.load_csv(cfg.input))
+def _aggregate(args: argparse.Namespace) -> bytes:
+    with open(args.input, "rb") as fh:
+        daily = data.parse_daily_csv(fh)
+    try:
+        qs = datetime.date.fromisoformat(args.quarter_start)
+    except ValueError:
+        raise DataError(f"malformed --quarter-start {args.quarter_start!r}") from None
+    value = data.aggregate_prior_month(daily, qs)
+    if args.fmt == "json":
+        doc = {"quarter_start": qs.isoformat(), "prior_month_mean": value}
+        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    return f"{value!r}\n".encode("utf-8")
 
 
-def _bayes_summaries(
-    cfg: RunConfig, design: ols.DesignMatrix, frame: data.ModelFrame
-) -> list[bayes.PosteriorSummary]:
-    prior = bayes.default_prior(
-        design,
-        coef_sd=cfg.coef_sd,
-        sigma2_shape=cfg.sigma2_shape,
-        sigma2_scale=cfg.sigma2_scale,
+def _run(args: argparse.Namespace) -> bytes:
+    if args.command == "aggregate":
+        return _aggregate(args)
+    stages = _Stages(args)
+    sections = report.ReportSections(
+        **{name: getattr(stages, name) for name in SECTIONS[args.command]}
     )
-    rs = RandomSource(cfg.seed)
-    post = bayes.sample_posterior(design, prior, cfg.draws, rs)
-    return bayes.summarize_posterior(
-        post, frame.loss, level=cfg.ci_level, use_hdi=cfg.use_hdi
-    )
-
-
-def _run(cfg: RunConfig) -> bytes:
-    if cfg.command == "aggregate":
-        with open(cfg.input, "rb") as fh:
-            daily = data.parse_daily_csv(fh)
-        try:
-            qs = datetime.date.fromisoformat(cfg.quarter_start or "")
-        except ValueError:
-            raise DataError(f"malformed --quarter-start {cfg.quarter_start!r}") from None
-        value = data.aggregate_prior_month(daily, qs)
-        if cfg.fmt == "json":
-            import json
-
-            doc = {"quarter_start": qs.isoformat(), "prior_month_mean": value}
-            return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
-        return f"{value!r}\n".encode("utf-8")
-
-    frame = _load_frame(cfg)
-    sections = report.ReportSections(bayes_level=cfg.ci_level)
-
-    if cfg.command == "describe":
-        sections.descriptive = describe.summarize(frame)
-    elif cfg.command == "anova":
-        fn = describe.anova_by_year if cfg.group_key == "year" else describe.anova_by_month
-        sections.anova = [fn(frame)]
-    elif cfg.command == "ols":
-        design = ols.build_design(frame)
-        sections.ols_fit = ols.fit_ols(design)
-        sections.ols_diag = ols.diagnostics(design, sections.ols_fit, cfg.vif_cutoff)
-    elif cfg.command == "bayes":
-        design = ols.build_design(frame)
-        sections.bayes = _bayes_summaries(cfg, design, frame)
-    elif cfg.command == "verdict":
-        design = ols.build_design(frame)
-        fit = ols.fit_ols(design)
-        posts = _bayes_summaries(cfg, design, frame)
-        sections.verdicts = report.combined_verdict(
-            fit,
-            posts,
-            pirope_epsilon=cfg.pirope_epsilon,
-            no_assoc_threshold=cfg.no_assoc_threshold,
-        )
-    elif cfg.command == "report":
-        design = ols.build_design(frame)
-        fit = ols.fit_ols(design)
-        posts = _bayes_summaries(cfg, design, frame)
-        sections.descriptive = describe.summarize(frame)
-        sections.anova = [describe.anova_by_month(frame), describe.anova_by_year(frame)]
-        sections.ols_fit = fit
-        sections.ols_diag = ols.diagnostics(design, fit, cfg.vif_cutoff)
-        sections.bayes = posts
-        sections.verdicts = report.combined_verdict(
-            fit,
-            posts,
-            pirope_epsilon=cfg.pirope_epsilon,
-            no_assoc_threshold=cfg.no_assoc_threshold,
-        )
-    else:  # pragma: no cover - argparse restricts the choices
-        raise DataError(f"unknown command {cfg.command!r}")
-
-    return report.render_report(sections, cfg.fmt)
+    if sections.bayes is not None:
+        sections.bayes_level = args.ci_level
+    return report.render_report(sections, args.fmt)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args, parser)
+        _check_ranges(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     try:
-        out = _run(cfg)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
-    except SingularDesignError as exc:
-        print(f"singular design: {exc}", file=sys.stderr)
-        return 1
-    except ConsistencyError as exc:
-        print(f"consistency error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+        out = _run(args)
+    except tuple(ERROR_PREFIXES) as exc:
+        prefix = next(p for t, p in ERROR_PREFIXES.items() if isinstance(exc, t))
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return 1
 
     sys.stdout.buffer.write(out)

@@ -76,35 +76,6 @@ class ModelFrame:
             self.exp_claims,
         ]
 
-    def to_csv_bytes(self) -> bytes:
-        """Serialize with round-trip float formatting (repr)."""
-        out = io.StringIO()
-        out.write("month_index,year_index,adj_pop,ratio,aplir,ffr,exp_claims,loss\n")
-        for i in range(len(self)):
-            out.write(
-                f"{int(self.month_index[i])},{int(self.year_index[i])},"
-                f"{float(self.adj_pop[i])!r},{float(self.ratio[i])!r},"
-                f"{float(self.aplir[i])!r},{float(self.ffr[i])!r},"
-                f"{float(self.exp_claims[i])!r},{float(self.loss[i])!r}\n"
-            )
-        return out.getvalue().encode("utf-8")
-
-    @classmethod
-    def from_csv_bytes(cls, data: bytes, dates: Sequence[datetime.date] = ()) -> "ModelFrame":
-        rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"))))
-        cols = {k: [r[k] for r in rows] for k in rows[0]}
-        return cls(
-            dates=tuple(dates),
-            month_index=np.array([int(v) for v in cols["month_index"]]),
-            year_index=np.array([int(v) for v in cols["year_index"]]),
-            adj_pop=np.array([float(v) for v in cols["adj_pop"]]),
-            ratio=np.array([float(v) for v in cols["ratio"]]),
-            aplir=np.array([float(v) for v in cols["aplir"]]),
-            ffr=np.array([float(v) for v in cols["ffr"]]),
-            exp_claims=np.array([float(v) for v in cols["exp_claims"]]),
-            loss=np.array([float(v) for v in cols["loss"]]),
-        )
-
 
 def _as_text_lines(data: bytes | str | IO[bytes]) -> io.StringIO:
     if isinstance(data, bytes):

@@ -211,14 +211,14 @@ _INV_2POW53 = 2.0**-53
 
 
 class RandomSource:
-    """splitmix64 stream with scalar and vectorized draw methods.
+    """splitmix64 stream with vectorized draw methods.
 
     The generator is counter-based: output k is mix64(seed + (k+1) * gamma)
     with the splitmix64 finalizer, so equal seeds give bit-identical streams.
-    Vectorized methods consume the same underlying stream as their scalar
-    counterparts; ``normals(n)`` reproduces n successive ``draw_normal`` calls
-    exactly, while ``inverse_gammas`` batches its rejection sampling and so
-    orders the stream differently from ``draw_inverse_gamma`` loops.
+    Each method consumes the next block of that stream: ``uniforms(n)`` takes
+    n outputs, ``normals(n)`` takes 2n (Box-Muller on consecutive pairs), and
+    ``inverse_gammas`` takes one normal and one uniform per candidate in each
+    batched Marsaglia-Tsang rejection round, plus n uniforms when shape < 1.
 
     Instances are single-owner: concurrent use requires independent instances
     with distinct seeds.
@@ -227,13 +227,6 @@ class RandomSource:
     def __init__(self, seed: int):
         self.seed = int(seed) & _U64_MASK
         self._count = 0
-
-    def _raw(self) -> int:
-        self._count += 1
-        z = (self.seed + self._count * _SM64_GAMMA) & _U64_MASK
-        z = ((z ^ (z >> 30)) * _SM64_MIX1) & _U64_MASK
-        z = ((z ^ (z >> 27)) * _SM64_MIX2) & _U64_MASK
-        return z ^ (z >> 31)
 
     def _raw_block(self, n: int) -> np.ndarray:
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
@@ -244,59 +237,17 @@ class RandomSource:
             z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM64_MIX2)
             return z ^ (z >> np.uint64(31))
 
-    def uniform(self) -> float:
-        """One double in [0, 1) from the top 53 bits of the stream."""
-        return (self._raw() >> 11) * _INV_2POW53
-
     def uniforms(self, n: int) -> np.ndarray:
+        """n doubles in [0, 1) from the top 53 bits of the stream."""
         return (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * _INV_2POW53
 
-    def draw_normal(self, mean: float, sd: float) -> float:
-        """One normal variate via Box-Muller (two uniforms per call)."""
-        if sd < 0.0:
-            raise ValueError(f"draw_normal requires sd >= 0, got {sd}")
-        u1 = 1.0 - self.uniform()  # (0, 1]: keeps the log finite
-        u2 = self.uniform()
-        z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-        return mean + sd * z
-
     def normals(self, n: int) -> np.ndarray:
-        """n standard normals, bit-identical to n draw_normal(0, 1) calls."""
+        """n standard normals via Box-Muller, two uniforms each."""
         raw = self._raw_block(2 * n)
         u = (raw >> np.uint64(11)).astype(np.float64) * _INV_2POW53
         u1 = 1.0 - u[0::2]
         u2 = u[1::2]
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
-
-    def draw_inverse_gamma(self, shape: float, scale: float) -> float:
-        """One inverse-gamma variate (density propto x^-(shape+1) e^(-scale/x))."""
-        if not (shape > 0.0 and scale > 0.0):
-            raise ValueError(
-                f"draw_inverse_gamma requires shape, scale > 0, got {shape}, {scale}"
-            )
-        return scale / self._gamma_variate(shape)
-
-    def _gamma_variate(self, shape: float) -> float:
-        # Marsaglia-Tsang: for shape >= 1 directly, else boost by u^(1/shape)
-        alpha = shape if shape >= 1.0 else shape + 1.0
-        d = alpha - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        while True:
-            x = self.draw_normal(0.0, 1.0)
-            v = 1.0 + c * x
-            if v <= 0.0:
-                continue
-            v = v * v * v
-            u = self.uniform()
-            if u < 1.0 - 0.0331 * x * x * x * x:
-                break
-            if u == 0.0 or math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
-                break
-        g = d * v
-        if shape < 1.0:
-            u = 1.0 - self.uniform()
-            g *= u ** (1.0 / shape)
-        return g
 
     def inverse_gammas(self, n: int, shape: float, scale: float) -> np.ndarray:
         """n inverse-gamma variates with batched (vectorized) rejection."""

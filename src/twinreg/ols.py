@@ -8,12 +8,13 @@ triangular factor:
 
     (X'X)^-1 = R^-1 R^-T,   se_j = sqrt(sigma2_hat * [(X'X)^-1]_jj)
 
-with sigma2_hat = RSS / (n - p) and two-sided t tails for p-values.
+with sigma2_hat = RSS / (n - p) and two-sided t tails for p-values.  The fit
+keeps Q, R and that diagonal, so the diagnostics factor nothing again: the
+VIFs come from the diagonal and Breusch-Pagan back-substitutes against Q, R.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,9 @@ class OlsFit:
     r2: float
     adj_r2: float
     df_resid: int
+    xtx_inv_diag: np.ndarray  # diagonal of (X'X)^-1
+    q: np.ndarray  # thin QR factors of the design, reused by diagnostics
+    r: np.ndarray
 
 
 @dataclass
@@ -82,8 +86,8 @@ def build_design(frame: ModelFrame) -> DesignMatrix:
     return DesignMatrix(X=X, y=frame.loss.astype(float), names=(INTERCEPT_NAME,) + frame.names)
 
 
-def _qr_solve(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares solution and R factor, with a rank check on R's diagonal."""
+def _factor(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR factors of X, with a rank check on R's diagonal."""
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))
     cutoff = _RANK_TOL * diag.max()
@@ -95,12 +99,16 @@ def _qr_solve(X: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> tuple[np.
             "dependent on the preceding columns",
             column=names[j],
         )
-    # back-substitution for R beta = Q'y, row by row from the last
+    return Q, R
+
+
+def _back_substitute(Q: np.ndarray, R: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares solution of R beta = Q'y, row by row from the last."""
     qty = Q.T @ y
     beta = np.empty_like(qty)
     for i in range(R.shape[0] - 1, -1, -1):
         beta[i] = (qty[i] - R[i, i + 1 :] @ beta[i + 1 :]) / R[i, i]
-    return beta, R
+    return beta
 
 
 def fit_ols(d: DesignMatrix) -> OlsFit:
@@ -110,8 +118,11 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
         raise DataError("design matrix and response must be finite")
     if n <= p:
         raise DataError(f"need n > p for residual inference (n={n}, p={p})")
+    if y.min() == y.max():
+        raise DataError(f"response is constant ({float(y[0])!r}); there is nothing to explain")
 
-    beta, R = _qr_solve(X, y, d.names)
+    Q, R = _factor(X, d.names)
+    beta = _back_substitute(Q, R, y)
     fitted = X @ beta
     resid = y - fitted
     rss = float(resid @ resid)
@@ -127,11 +138,8 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
     t = np.where(np.isnan(t), 0.0, t)
     pvals = np.array([student_t_sf2(float(tj), df_resid) for tj in t])
 
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst > 0.0:
-        r2 = 1.0 - rss / sst
-    else:
-        r2 = 1.0 if rss <= 1e-30 else 0.0
+    # y is not constant, so sst > 0
+    r2 = 1.0 - rss / float(np.sum((y - y.mean()) ** 2))
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p)
 
     return OlsFit(
@@ -146,17 +154,10 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
         r2=r2,
         adj_r2=adj_r2,
         df_resid=df_resid,
+        xtx_inv_diag=xtx_inv_diag,
+        q=Q,
+        r=R,
     )
-
-
-def _aux_r2(X: np.ndarray, target: np.ndarray, names: tuple[str, ...]) -> float:
-    """R-squared of regressing target on X (which includes an intercept)."""
-    beta, _ = _qr_solve(X, target, names)
-    resid = target - X @ beta
-    tss = float(np.sum((target - target.mean()) ** 2))
-    if tss == 0.0:
-        return 0.0
-    return 1.0 - float(resid @ resid) / tss
 
 
 def diagnostics(d: DesignMatrix, fit: OlsFit, vif_cutoff: float = 10.0) -> Diagnostics:
@@ -169,15 +170,15 @@ def diagnostics(d: DesignMatrix, fit: OlsFit, vif_cutoff: float = 10.0) -> Diagn
     n, p = X.shape
     e = fit.residuals
 
-    vif: dict[str, float] = {}
-    for j in range(1, p):
-        others = np.delete(X, j, axis=1)
-        names = tuple(nm for i, nm in enumerate(d.names) if i != j)
-        r2_j = _aux_r2(others, X[:, j], names)
-        vif[d.names[j]] = math.inf if r2_j >= 1.0 else 1.0 / (1.0 - r2_j)
+    # with an intercept in the design, VIF_j = SST_j * [(X'X)^-1]_jj
+    sst = [float(np.sum((X[:, j] - X[:, j].mean()) ** 2)) for j in range(p)]
+    vif = {d.names[j]: sst[j] * float(fit.xtx_inv_diag[j]) for j in range(1, p)}
 
     # Breusch-Pagan LM: n times the R^2 of e^2 regressed on the full design
-    bp_stat = n * _aux_r2(X, e**2, d.names)
+    e2 = e**2
+    resid2 = e2 - X @ _back_substitute(fit.q, fit.r, e2)
+    tss2 = float(np.sum((e2 - e2.mean()) ** 2))
+    bp_stat = n * (1.0 - float(resid2 @ resid2) / tss2) if tss2 > 0.0 else 0.0
     bp_p = chi2_sf(bp_stat, p - 1)
 
     ec = e - e.mean()

@@ -50,7 +50,7 @@ def fit(frame):
 def posterior(frame):
     design = T.build_design(frame)
     prior = T.default_prior(design)
-    return T.sample_posterior(design, prior, 10_000, T.RandomSource(42))
+    return T.sample_posterior(design, T.fit_ols(design), prior, 10_000, T.RandomSource(42))
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +200,7 @@ def test_criterion_6_flat_prior_coincidence(acceptance_log, frame, fit):
     design = T.build_design(frame)
     prior = T.default_prior(design, coef_sd=1e6)
     t0 = time.perf_counter()
-    post = T.sample_posterior(design, prior, 50_000, T.RandomSource(42))
+    post = T.sample_posterior(design, fit, prior, 50_000, T.RandomSource(42))
     elapsed = time.perf_counter() - t0
 
     med = np.median(post.beta, axis=0)

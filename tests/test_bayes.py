@@ -82,11 +82,11 @@ class TestSamplePosterior:
     def test_minimum_draws_enforced(self):
         d = make_design()
         with pytest.raises(ValueError):
-            sample_posterior(d, default_prior(d), 999, RandomSource(1))
+            sample_posterior(d, fit_ols(d), default_prior(d), 999, RandomSource(1))
 
     def test_shapes_and_positivity(self):
         d = make_design()
-        post = sample_posterior(d, default_prior(d), 2000, RandomSource(1))
+        post = sample_posterior(d, fit_ols(d), default_prior(d), 2000, RandomSource(1))
         assert post.beta.shape == (2000, 4)
         assert post.sigma2.shape == (2000,)
         assert np.all(post.sigma2 > 0)
@@ -94,18 +94,18 @@ class TestSamplePosterior:
 
     def test_same_seed_reproduces(self):
         d = make_design()
-        prior = default_prior(d)
-        a = sample_posterior(d, prior, 1500, RandomSource(99))
-        b = sample_posterior(d, prior, 1500, RandomSource(99))
+        fit, prior = fit_ols(d), default_prior(d)
+        a = sample_posterior(d, fit, prior, 1500, RandomSource(99))
+        b = sample_posterior(d, fit, prior, 1500, RandomSource(99))
         assert np.array_equal(a.beta, b.beta)
         assert np.array_equal(a.sigma2, b.sigma2)
-        c = sample_posterior(d, prior, 1500, RandomSource(100))
+        c = sample_posterior(d, fit, prior, 1500, RandomSource(100))
         assert not np.array_equal(a.beta, c.beta)
 
     def test_flat_prior_matches_least_squares(self):
         d = make_design(seed=5)
         fit = fit_ols(d)
-        post = sample_posterior(d, default_prior(d, coef_sd=1e6), 40_000, RandomSource(3))
+        post = sample_posterior(d, fit, default_prior(d, coef_sd=1e6), 40_000, RandomSource(3))
         med = np.median(post.beta, axis=0)
         mc_se = post.beta.std(axis=0, ddof=1) / np.sqrt(40_000)
         assert np.all(np.abs(med - fit.estimates) < 5 * mc_se)
@@ -115,7 +115,7 @@ class TestSamplePosterior:
         n, p = d.n, d.p
         fit = fit_ols(d)
         s2 = fit.sigma2_hat
-        post = sample_posterior(d, default_prior(d, coef_sd=1e8), 60_000, RandomSource(4))
+        post = sample_posterior(d, fit, default_prior(d, coef_sd=1e8), 60_000, RandomSource(4))
         # marginal slope variance: E[sigma2] * diag((X'X)^-1), flat-prior limit
         a_n = 1.0 + n / 2.0
         b_n = s2 + float(fit.residuals @ fit.residuals) / 2.0
@@ -129,15 +129,16 @@ class TestSamplePosterior:
     def test_sigma2_moments_match_inverse_gamma(self):
         d = make_design(seed=7)
         fit = fit_ols(d)
-        post = sample_posterior(d, default_prior(d, coef_sd=1e8), 60_000, RandomSource(5))
+        post = sample_posterior(d, fit, default_prior(d, coef_sd=1e8), 60_000, RandomSource(5))
         a_n = 1.0 + d.n / 2.0
         b_n = fit.sigma2_hat + float(fit.residuals @ fit.residuals) / 2.0
         assert post.sigma2.mean() == pytest.approx(b_n / (a_n - 1.0), rel=0.03)
 
     def test_tight_prior_shrinks_slopes(self):
         d = make_design(seed=8, signal=True)
-        flat = sample_posterior(d, default_prior(d, coef_sd=1e6), 4000, RandomSource(6))
-        tight = sample_posterior(d, default_prior(d, coef_sd=1e-4), 4000, RandomSource(6))
+        fit = fit_ols(d)
+        flat = sample_posterior(d, fit, default_prior(d, coef_sd=1e6), 4000, RandomSource(6))
+        tight = sample_posterior(d, fit, default_prior(d, coef_sd=1e-4), 4000, RandomSource(6))
         med_flat = np.median(flat.beta, axis=0)
         med_tight = np.median(tight.beta, axis=0)
         for j in range(1, 4):
@@ -232,7 +233,7 @@ class TestPirope:
 class TestSummarizePosterior:
     def test_fields_are_consistent(self):
         d = make_design(seed=13)
-        post = sample_posterior(d, default_prior(d), 3000, RandomSource(7))
+        post = sample_posterior(d, fit_ols(d), default_prior(d), 3000, RandomSource(7))
         out = summarize_posterior(post, d.y)
         assert [s.name for s in out] == list(d.names)
         rope = rope_bounds(d.y)
@@ -247,14 +248,14 @@ class TestSummarizePosterior:
 
     def test_hdi_mode(self):
         d = make_design(seed=14)
-        post = sample_posterior(d, default_prior(d), 3000, RandomSource(8))
+        post = sample_posterior(d, fit_ols(d), default_prior(d), 3000, RandomSource(8))
         out = summarize_posterior(post, d.y, use_hdi=True)
         col = post.beta[:, 1]
         assert (out[1].ci_low, out[1].ci_high) == hdi_interval(col, 0.89)
 
     def test_level_is_respected(self):
         d = make_design(seed=15)
-        post = sample_posterior(d, default_prior(d), 3000, RandomSource(9))
+        post = sample_posterior(d, fit_ols(d), default_prior(d), 3000, RandomSource(9))
         narrow = summarize_posterior(post, d.y, level=0.5)
         wide = summarize_posterior(post, d.y, level=0.99)
         assert narrow[1].ci_high - narrow[1].ci_low < wide[1].ci_high - wide[1].ci_low

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twinreg.cli import build_parser, main
@@ -224,10 +225,38 @@ class TestFailureExitCodes:
         assert err.startswith("data error:")
         assert fields[0] in err
 
+    @pytest.mark.parametrize("command", ["ols", "bayes", "verdict", "report"])
+    def test_constant_response_is_data_error(self, run, tmp_path, command):
+        lines = Path(FIXTURE).read_text().splitlines()
+        assert lines[0].split(",")[1] == "loss"
+        rows = [",".join([f[0], "0.5", *f[2:]]) for f in (ln.split(",") for ln in lines[1:])]
+        code, out, err = run(command, "--input", small_csv(tmp_path, rows))
+        assert code == 1
+        assert out == b""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error:")
+        assert "constant" in err
+
     def test_bad_sigma2_scale_is_data_error(self, run):
         code, _, err = run("bayes", "--input", FIXTURE, "--sigma2-scale", "-1")
         assert code == 1
         assert err.startswith("data error:")
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("command", ["ols", "bayes", "verdict", "report"])
+    def test_one_qr_factorization_per_run(self, run, monkeypatch, command):
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        code, _, _ = run(command, "--input", FIXTURE, "--format", "json")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestParser:

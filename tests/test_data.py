@@ -8,7 +8,6 @@ import pytest
 
 from twinreg import (
     DataError,
-    ModelFrame,
     ParseError,
     aggregate_prior_month,
     apply_transforms,
@@ -174,31 +173,6 @@ class TestApplyTransforms:
         a, b = apply_transforms(obs), apply_transforms(obs)
         assert np.array_equal(a.loss, b.loss)
         assert a.dates == b.dates
-
-
-class TestModelFrameRoundTrip:
-    def test_csv_round_trip_is_exact(self):
-        rng = np.random.default_rng(5)
-        rows = []
-        dates = ["2011-04-01", "2011-07-01", "2011-10-01", "2012-01-01"]
-        for d in dates:
-            rows.append(
-                row(
-                    d,
-                    loss=repr(float(rng.uniform(0.1, 2.0))),
-                    pop=str(int(rng.integers(3e8, 3.3e8))),
-                    ratio=repr(float(rng.uniform(0.96, 0.98))),
-                    aplir=repr(float(rng.uniform(3, 5))),
-                    ffr=repr(float(rng.uniform(0.0, 2.5))),
-                    claims=str(int(rng.integers(1e6, 4e6))),
-                )
-            )
-        frame = apply_transforms(parse_csv(make_csv(*rows)))
-        back = ModelFrame.from_csv_bytes(frame.to_csv_bytes(), dates=frame.dates)
-        assert back.dates == frame.dates
-        assert np.array_equal(back.month_index, frame.month_index)
-        for name in ("loss", "adj_pop", "ratio", "aplir", "ffr", "exp_claims"):
-            assert np.array_equal(getattr(back, name), getattr(frame, name)), name
 
     def test_regressor_columns_order(self):
         frame = apply_transforms(parse_csv(make_csv(row("2011-04-01"), row("2011-07-01"))))

@@ -1,0 +1,36 @@
+"""Seed-42 stdout of every fixture subcommand, byte for byte.
+
+Each ``tests/golden/<case>_<format>.out`` holds the stdout of
+``twinreg <argv> --input data/loanloss_quarterly.csv --format <format>``
+at the default seed and draw count.  A change to any of these bytes is a
+stream change and has to be declared in CHANGES.md along with the new file.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from twinreg.cli import main
+
+ROOT = Path(__file__).resolve().parent
+FIXTURE = str(ROOT.parent / "data" / "loanloss_quarterly.csv")
+
+CASES = {
+    "describe": ["describe"],
+    "anova": ["anova"],
+    "anova_year": ["anova", "--group", "year"],
+    "ols": ["ols"],
+    "bayes": ["bayes"],
+    "bayes_hdi": ["bayes", "--hdi"],
+    "verdict": ["verdict"],
+    "report": ["report"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_stdout_matches_golden(case, fmt, capfdbinary):
+    code = main([*CASES[case], "--input", FIXTURE, "--format", fmt])
+    cap = capfdbinary.readouterr()
+    assert (code, cap.err) == (0, b"")
+    assert cap.out == (ROOT / "golden" / f"{case}_{fmt}.out").read_bytes()

@@ -162,6 +162,14 @@ class TestFitOls:
         with pytest.raises(DataError):
             fit_ols(DesignMatrix(X=d.X, y=bad, names=d.names))
 
+    @pytest.mark.parametrize("level", [0.5, 0.1])
+    def test_constant_response_rejected(self, level):
+        # 37 copies of 0.1 do not average to exactly 0.1, so their rounded
+        # sum of squares is ~7e-33 rather than 0; both levels must be refused
+        d = random_design(np.random.default_rng(10), 37, 8)
+        with pytest.raises(DataError, match="constant"):
+            fit_ols(DesignMatrix(X=d.X, y=np.full(37, level), names=d.names))
+
 
 class TestDiagnostics:
     def test_vif_matches_auxiliary_regressions(self):

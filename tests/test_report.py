@@ -33,6 +33,9 @@ def crafted_fit(names, p_values):
         r2=0.9,
         adj_r2=0.88,
         df_resid=6,
+        xtx_inv_diag=z + 1.0,
+        q=np.zeros((10, p)),
+        r=np.eye(p),
     )
 
 

@@ -15,7 +15,6 @@ import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
 import twinreg as T
-from twinreg.ols import _qr_solve
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv"
 
@@ -60,7 +59,7 @@ def reference_draws(d, prior, draws, seed):
 
 class TestQrSolve:
     def test_bitwise_equal_on_fixture(self, design):
-        beta, _ = _qr_solve(design.X, design.y, design.names)
+        beta = T.fit_ols(design).estimates
         assert np.array_equal(beta, reference_beta(design.X, design.y))
 
     def test_random_designs_agree_to_rounding(self):
@@ -71,7 +70,7 @@ class TestQrSolve:
             X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
             y = rng.normal(size=n)
             names = tuple(f"x{j}" for j in range(p))
-            beta, _ = _qr_solve(X, y, names)
+            beta = T.fit_ols(T.DesignMatrix(X=X, y=y, names=names)).estimates
             ref = reference_beta(X, y)
             assert np.max(np.abs(beta - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -80,7 +79,7 @@ class TestSamplePosteriorOracle:
     @pytest.mark.parametrize("seed", [1, 42, 2024])
     def test_fixture_draws_match_cholesky_solves(self, design, seed):
         prior = T.default_prior(design)
-        post = T.sample_posterior(design, prior, 5000, T.RandomSource(seed))
+        post = T.sample_posterior(design, T.fit_ols(design), prior, 5000, T.RandomSource(seed))
         beta, sigma2 = reference_draws(design, prior, 5000, seed)
         sd = beta.std(axis=0)
         assert np.all(np.max(np.abs(post.beta - beta), axis=0) <= 1e-12 * sd)
@@ -93,7 +92,7 @@ class TestSamplePosteriorOracle:
         y = X @ np.arange(1.0, p + 1.0) + rng.normal(size=n)
         d = T.DesignMatrix(X=X, y=y, names=tuple(f"x{j}" for j in range(p)))
         prior = T.default_prior(d, coef_sd=0.05)
-        post = T.sample_posterior(d, prior, 4000, T.RandomSource(3))
+        post = T.sample_posterior(d, T.fit_ols(d), prior, 4000, T.RandomSource(3))
         beta, _ = reference_draws(d, prior, 4000, 3)
         sd = beta.std(axis=0)
         assert np.all(np.max(np.abs(post.beta - beta), axis=0) <= 1e-12 * sd)
