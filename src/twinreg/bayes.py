@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .kernels import RandomSource
+from .kernels import RandomSource, median_of_sorted
 from .ols import DesignMatrix, OlsFit
 
 
@@ -179,21 +179,40 @@ def rope_bounds(loss: Sequence[float]) -> tuple[float, float]:
     return -high, high
 
 
+def _ascending(draws: Sequence[float]) -> np.ndarray:
+    """draws as a float array in ascending order; a sorted column is used as is."""
+    x = np.asarray(draws, dtype=float)
+    if not (x[1:] >= x[:-1]).all():
+        x = np.sort(x)
+    return x
+
+
+def _quantile(x: np.ndarray, q: float) -> float:
+    """numpy's default ("linear") quantile of an ascending column, bit for bit."""
+    n = len(x)
+    vi = (n - 1) * q
+    lo = math.floor(vi)
+    if lo >= n - 1:
+        return float(x[-1])
+    a, b = float(x[lo]), float(x[lo + 1])
+    g = vi - lo
+    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def credible_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
     """Equal-tailed interval between the (1-level)/2 and 1-(1-level)/2 quantiles."""
-    x = np.asarray(draws, dtype=float)
+    x = _ascending(draws)
     if len(x) < 100:
         raise ValueError(f"credible_interval needs at least 100 draws, got {len(x)}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(x, [alpha, 1.0 - alpha])
-    return float(lo), float(hi)
+    return _quantile(x, alpha), _quantile(x, 1.0 - alpha)
 
 
 def hdi_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
     """Highest-density interval: the shortest window holding the target mass."""
-    x = np.sort(np.asarray(draws, dtype=float))
+    x = _ascending(draws)
     if len(x) < 100:
         raise ValueError(f"hdi_interval needs at least 100 draws, got {len(x)}")
     if not 0.0 < level < 1.0:
@@ -207,19 +226,25 @@ def hdi_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
     return float(x[k]), float(x[k + m - 1])
 
 
+def _count_within(x: np.ndarray, lo: float, hi: float) -> int:
+    """Number of entries of the ascending column x inside [lo, hi]."""
+    if not lo <= hi:
+        return 0
+    return int(np.searchsorted(x, hi, "right") - np.searchsorted(x, lo, "left"))
+
+
 def pirope(
     draws: Sequence[float],
     ci: tuple[float, float],
     rope: tuple[float, float],
 ) -> float:
     """Percent of the draws inside the CI that also land inside the ROPE."""
-    x = np.asarray(draws, dtype=float)
-    in_ci = (x >= ci[0]) & (x <= ci[1])
-    denom = int(in_ci.sum())
+    x = _ascending(draws)
+    denom = _count_within(x, ci[0], ci[1])
     if denom == 0:
         raise DataError("degenerate credible interval: no draws inside it")
-    in_both = in_ci & (x >= rope[0]) & (x <= rope[1])
-    return 100.0 * int(in_both.sum()) / denom
+    both = _count_within(x, max(ci[0], rope[0]), min(ci[1], rope[1]))
+    return 100.0 * both / denom
 
 
 def summarize_posterior(
@@ -228,24 +253,29 @@ def summarize_posterior(
     level: float = 0.89,
     use_hdi: bool = False,
 ) -> list[PosteriorSummary]:
-    """Per-parameter median, credible interval, ROPE bounds, and PIROPE."""
+    """Per-parameter median, credible interval, ROPE bounds, and PIROPE.
+
+    Each column is sorted once; every number is then read from that copy.
+    """
     rope = rope_bounds(loss)
     interval = hdi_interval if use_hdi else credible_interval
     out = []
     for j, name in enumerate(post.names):
         col = post.beta[:, j]
-        lo, hi = interval(col, level)
+        ranked = np.sort(col)
+        lo, hi = interval(ranked, level)
         out.append(
             PosteriorSummary(
                 name=name,
                 draws=col,
-                median=float(np.median(col)),
+                median=median_of_sorted(ranked),
                 ci_low=lo,
                 ci_high=hi,
                 ci_midpoint=0.5 * (lo + hi),
                 rope_low=rope[0],
                 rope_high=rope[1],
-                pirope=pirope(col, (lo, hi), rope),
+                pirope=pirope(ranked, (lo, hi), rope),
             )
         )
+        del ranked  # free this column's copy before the next one is sorted
     return out

@@ -9,7 +9,13 @@ import sys
 from functools import cached_property
 
 from . import bayes, data, describe, ols, report
-from .errors import ConsistencyError, DataError, ParseError, SingularDesignError
+from .errors import (
+    ConsistencyError,
+    ConvergenceError,
+    DataError,
+    ParseError,
+    SingularDesignError,
+)
 from .kernels import RandomSource
 
 # subcommand -> the report sections it renders, computed in this order
@@ -29,6 +35,7 @@ ERROR_PREFIXES = {
     ConsistencyError: "consistency error",
     DataError: "data error",
     OSError: "input error",
+    ConvergenceError: "numeric error",
     ValueError: "numeric error",
 }
 

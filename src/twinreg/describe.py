@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import ModelFrame
 from .errors import DataError
-from .kernels import f_sf
+from .kernels import f_sf, median_of_sorted
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def _summary(name: str, x: np.ndarray) -> SummaryRow:
         name=name,
         mean=float(np.mean(x)),
         sd=sd,
-        median=float(np.median(x)),
+        median=median_of_sorted(np.sort(x)),
         min=float(np.min(x)),
         max=float(np.max(x)),
     )

@@ -29,3 +29,7 @@ class SingularDesignError(TwinregError):
 
 class ConsistencyError(TwinregError):
     """Cross-module results do not line up (mismatched parameter sets)."""
+
+
+class ConvergenceError(TwinregError):
+    """An iterative special-function evaluation hit its iteration cap."""

@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
     0.99999999999980993,
@@ -121,7 +123,7 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    raise RuntimeError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+    raise ConvergenceError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 
 
 def student_t_sf2(t: float, df: float) -> float:
@@ -178,7 +180,7 @@ def _gamma_p_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _CF_EPS:
             return total * math.exp(-x + a * math.log(x) - ln_gamma(a))
-    raise RuntimeError(f"incomplete gamma series did not converge for a={a}, x={x}")
+    raise ConvergenceError(f"incomplete gamma series did not converge for a={a}, x={x}")
 
 
 def _gamma_q_cf(a: float, x: float) -> float:
@@ -200,7 +202,15 @@ def _gamma_q_cf(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h * math.exp(-x + a * math.log(x) - ln_gamma(a))
-    raise RuntimeError(f"incomplete gamma fraction did not converge for a={a}, x={x}")
+    raise ConvergenceError(f"incomplete gamma fraction did not converge for a={a}, x={x}")
+
+
+def median_of_sorted(x: np.ndarray) -> float:
+    """Median of an ascending array, bit-identical to ``np.median`` of it."""
+    n = len(x)
+    if n % 2:
+        return float(x[n // 2])
+    return float((x[n // 2 - 1] + x[n // 2]) / 2)
 
 
 _U64_MASK = (1 << 64) - 1
@@ -208,17 +218,23 @@ _SM64_GAMMA = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 _INV_2POW53 = 2.0**-53
+_SLICE = 1 << 14  # outputs mixed per pass: z and its scratch stay in L2
 
 
 class RandomSource:
     """splitmix64 stream with vectorized draw methods.
 
-    The generator is counter-based: output k is mix64(seed + (k+1) * gamma)
-    with the splitmix64 finalizer, so equal seeds give bit-identical streams.
-    Each method consumes the next block of that stream: ``uniforms(n)`` takes
-    n outputs, ``normals(n)`` takes 2n (Box-Muller on consecutive pairs), and
-    ``inverse_gammas`` takes one normal and one uniform per candidate in each
-    batched Marsaglia-Tsang rejection round, plus n uniforms when shape < 1.
+    The generator is counter-based: output k is mix64(seed + k * gamma) with
+    the splitmix64 finalizer, so equal seeds give bit-identical streams and
+    any output can be made without the ones before it.  Each method consumes
+    the next block of counters.  With c the counter before the call,
+    ``uniforms(n)`` takes outputs c+1 .. c+n.  ``normals(n)`` takes c+1 ..
+    c+2n and pairs them for Box-Muller as u1 from the odd offsets (c+1, c+3,
+    ..., c+2n-1) and u2 from the even ones (c+2, ..., c+2n); normal i uses
+    outputs c+2i+1 and c+2i+2, exactly the pair that ``uniforms(2n)`` would
+    return at positions 2i and 2i+1.  ``inverse_gammas`` takes one normal and
+    one uniform per candidate in each batched Marsaglia-Tsang rejection round,
+    plus n uniforms when shape < 1.
 
     Instances are single-owner: concurrent use requires independent instances
     with distinct seeds.
@@ -228,26 +244,62 @@ class RandomSource:
         self.seed = int(seed) & _U64_MASK
         self._count = 0
 
-    def _raw_block(self, n: int) -> np.ndarray:
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
-        self._count += n
-        with np.errstate(over="ignore"):
-            z = np.uint64(self.seed) + idx * np.uint64(_SM64_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_SM64_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_SM64_MIX2)
-            return z ^ (z >> np.uint64(31))
+    def _raw_block(self, n: int, step: int = 1, offset: int = 1) -> np.ndarray:
+        """Outputs c+offset, c+offset+step, ... (n of them); the caller advances c.
+
+        seed + k * gamma is linear in the counter k, so each slice starts as
+        one add onto a fixed ramp of step * gamma multiples; the finalizer then
+        runs in place on a slice small enough to stay in cache.
+        """
+        out = np.empty(n, dtype=np.uint64)
+        ramp = np.arange(0, min(n, _SLICE) * step, step, dtype=np.uint64)
+        ramp *= np.uint64(_SM64_GAMMA)
+        t = np.empty_like(ramp)
+        for s in range(0, n, _SLICE):
+            z = out[s : s + _SLICE]
+            tz = t[: len(z)]
+            k = self._count + offset + s * step
+            base = (self.seed + k * _SM64_GAMMA) & _U64_MASK
+            np.add(ramp[: len(z)], np.uint64(base), out=z)
+            np.right_shift(z, np.uint64(30), out=tz)
+            z ^= tz
+            z *= np.uint64(_SM64_MIX1)
+            np.right_shift(z, np.uint64(27), out=tz)
+            z ^= tz
+            z *= np.uint64(_SM64_MIX2)
+            np.right_shift(z, np.uint64(31), out=tz)
+            z ^= tz
+        return out
+
+    @staticmethod
+    def _unit(raw: np.ndarray) -> np.ndarray:
+        """Doubles in [0, 1) from the top 53 bits of each raw output."""
+        raw >>= np.uint64(11)
+        u = raw.astype(np.float64)
+        u *= _INV_2POW53
+        return u
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1) from the top 53 bits of the stream."""
-        return (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * _INV_2POW53
+        u = self._unit(self._raw_block(n))
+        self._count += n
+        return u
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller, two uniforms each."""
-        raw = self._raw_block(2 * n)
-        u = (raw >> np.uint64(11)).astype(np.float64) * _INV_2POW53
-        u1 = 1.0 - u[0::2]
-        u2 = u[1::2]
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        u1 = self._unit(self._raw_block(n, 2, 1))
+        u2 = self._unit(self._raw_block(n, 2, 2))
+        self._count += 2 * n
+        # sqrt(-2 log(1 - u1)) * cos(2 pi u2) in place, one ufunc per operation
+        # in the textbook order, so every bit matches the plain expression
+        np.subtract(1.0, u1, out=u1)
+        np.log(u1, out=u1)
+        u1 *= -2.0
+        np.sqrt(u1, out=u1)
+        u2 *= 2.0 * math.pi
+        np.cos(u2, out=u2)
+        u1 *= u2
+        return u1
 
     def inverse_gammas(self, n: int, shape: float, scale: float) -> np.ndarray:
         """n inverse-gamma variates with batched (vectorized) rejection."""

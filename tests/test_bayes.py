@@ -5,6 +5,8 @@ flat-prior limit must land on the least-squares solution.  Interval helpers
 get brute-force oracles built inside the tests.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from twinreg import (
     default_prior,
     fit_ols,
     hdi_interval,
+    kernels,
     pirope,
     rope_bounds,
     sample_posterior,
@@ -79,6 +82,18 @@ class TestDefaultPrior:
 
 
 class TestSamplePosterior:
+    def test_peak_allocation_is_bounded(self):
+        # the draws plus at most three draw-sized buffers while they are made
+        d = make_design(seed=16, p=8)
+        fit, prior = fit_ols(d), default_prior(d)
+        tracemalloc.start()
+        try:
+            post = sample_posterior(d, fit, prior, 200_000, RandomSource(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * post.beta.nbytes
+
     def test_minimum_draws_enforced(self):
         d = make_design()
         with pytest.raises(ValueError):
@@ -259,3 +274,70 @@ class TestSummarizePosterior:
         narrow = summarize_posterior(post, d.y, level=0.5)
         wide = summarize_posterior(post, d.y, level=0.99)
         assert narrow[1].ci_high - narrow[1].ci_low < wide[1].ci_high - wide[1].ci_low
+
+
+def mask_pirope(x, ci, rope):
+    """PIROPE from boolean masks over unsorted draws (the definition)."""
+    in_ci = (x >= ci[0]) & (x <= ci[1])
+    in_both = in_ci & (x >= rope[0]) & (x <= rope[1])
+    return 100.0 * int(in_both.sum()) / int(in_ci.sum())
+
+
+def oracle_columns():
+    rng = np.random.default_rng(17)
+    sizes = [1000, 1001, 10_000, 123_457]
+    sizes += [int(rng.integers(100, 50_000)) * 2 + k for k in (0, 1, 0, 1)]
+    for n in sizes:
+        yield f"normal-{n}", rng.normal(size=n)
+        yield f"gamma-{n}", rng.gamma(2.0, 1.0, size=n)
+        # few distinct values: long runs of ties at every quantile
+        yield f"ties-{n}", rng.integers(-5, 6, size=n) * 0.25
+
+
+class TestSortedColumnOracles:
+    """Bitwise agreement of the one-sort summaries with numpy on unsorted draws."""
+
+    LEVELS = (0.5, 0.89, 0.95, 0.999)
+
+    @pytest.mark.parametrize("label, x", list(oracle_columns()))
+    def test_quantiles_median_and_pirope(self, label, x):
+        ranked = np.sort(x)
+        assert kernels.median_of_sorted(ranked) == float(np.median(x))
+        sd = float(x.std())
+        for level in self.LEVELS:
+            alpha = (1.0 - level) / 2.0
+            want = tuple(float(v) for v in np.quantile(x, [alpha, 1.0 - alpha]))
+            got = credible_interval(ranked, level)
+            assert got == want, (level, got, want)
+            assert credible_interval(x, level) == want
+            lo, hi = got
+            ropes = {
+                "disjoint": (hi + sd, hi + 2 * sd),
+                "inside": (lo + 0.25 * (hi - lo), hi - 0.25 * (hi - lo)),
+                "overlapping": (lo - sd, 0.5 * (lo + hi)),
+                "covering": (lo - sd, hi + sd),
+                "on the bounds": (lo, hi),
+            }
+            for kind, rope in ropes.items():
+                want_p = mask_pirope(x, got, rope)
+                assert pirope(ranked, got, rope) == want_p, (level, kind)
+                assert pirope(x, got, rope) == want_p, (level, kind)
+            assert hdi_interval(ranked, level) == hdi_interval(x, level)
+
+    def test_index_is_n_minus_one_times_q(self):
+        # at n = 1001 and level 0.89 numpy's index (n-1)q is 945.0000000000001,
+        # a hair past x[945]; the textbook n*q + (1-q) - 1 lands on 945.0 and
+        # would return x[945] itself
+        x = np.arange(1001.0) ** 2
+        q = 1.0 - (1.0 - 0.89) / 2.0
+        hi = credible_interval(x, 0.89)[1]
+        assert hi == float(np.quantile(x, q))
+        assert hi != x[945]
+
+    def test_half_weight_interpolates_from_the_upper_neighbour(self):
+        # (n-1)q = 25.5 here; with a = 1 and b = 2**53 + 2 the difference b - a
+        # rounds, so a + (b-a)/2 and b - (b-a)/2 differ and only numpy's
+        # choice of b - (b-a)(1-g) at g >= 0.5 reproduces np.quantile
+        x = np.concatenate([np.ones(26), np.full(77, 2.0**53 + 2)])
+        lo = credible_interval(x, 0.5)[0]
+        assert lo == float(np.quantile(x, 0.25)) == 2.0**52 + 2

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twinreg import kernels
 from twinreg.cli import build_parser, main
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv")
@@ -241,6 +242,17 @@ class TestFailureExitCodes:
         code, _, err = run("bayes", "--input", FIXTURE, "--sigma2-scale", "-1")
         assert code == 1
         assert err.startswith("data error:")
+
+    def test_non_convergence_is_numeric_error(self, run, monkeypatch):
+        # one iteration is too few for any continued fraction on the fixture
+        monkeypatch.setattr(kernels, "_CF_MAX_ITER", 1)
+        code, out, err = run("ols", "--input", FIXTURE)
+        assert code == 1
+        assert out == b""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numeric error:")
+        assert "did not converge" in err
+        assert "Traceback" not in err
 
 
 class TestPipeline:

@@ -277,6 +277,40 @@ class TestRandomSource:
         b.uniforms(2)
         assert np.array_equal(a.uniforms(3), b.uniforms(3))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 3 * kernels._SLICE + 5])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_normals_are_box_muller_on_interleaved_uniforms(self, n, moved):
+        a = kernels.RandomSource(77)
+        b = kernels.RandomSource(77)
+        if moved:
+            a.normals(3)
+            a.uniforms(1)
+            b.uniforms(7)
+        before = a._count
+        z = a.normals(n)
+        assert a._count == before + 2 * n
+        u = b.uniforms(2 * n)
+        want = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * math.pi * u[1::2])
+        assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
+
+    def test_raw_block_matches_scalar_splitmix64(self):
+        # reference: the splitmix64 finalizer on Python integers, around the
+        # slice boundaries where the block restarts from its ramp
+        def mix64(seed, k):
+            z = (seed + k * 0x9E3779B97F4A7C15) & kernels._U64_MASK
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & kernels._U64_MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & kernels._U64_MASK
+            return z ^ (z >> 31)
+
+        s = kernels._SLICE
+        seed = 2**64 - 3
+        rs = kernels.RandomSource(seed)
+        rs._count = 5
+        for step, offset in ((1, 1), (2, 1), (2, 2)):
+            raw = rs._raw_block(2 * s + 3, step, offset)
+            for i in (0, 1, s - 1, s, s + 1, 2 * s, 2 * s + 2):
+                assert int(raw[i]) == mix64(seed, 5 + offset + i * step), (step, offset, i)
+
     def test_normal_moments(self):
         rs = kernels.RandomSource(2024)
         z = rs.normals(1_000_000)
