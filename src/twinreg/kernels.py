@@ -21,6 +21,9 @@ Student-t and F tails are thin wrappers over the regularized incomplete beta.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from functools import partial
 
 import numpy as np
 
@@ -218,7 +221,111 @@ _SM64_GAMMA = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 _INV_2POW53 = 2.0**-53
-_SLICE = 1 << 14  # outputs mixed per pass: z and its scratch stay in L2
+# u * 2**-53 is exact, so (u * 2**-53) * 2pi and u * (2**-53 * 2pi) round alike
+_TWO_PI_2POW53 = 2.0 * math.pi * _INV_2POW53
+_SLICE = 1 << 15  # outputs made per pass: a slice and its scratch stay in L2
+# threads that large calls spread over: the CPUs this process may run on
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:  # no affinity call on this platform
+    _WORKERS = os.cpu_count() or 1
+_SERIAL_SLICES = 8  # calls of fewer slices than this stay on the calling thread
+
+
+def run_parallel(jobs: list) -> None:
+    """Run every job once, spread over at most ``_WORKERS`` threads.
+
+    The calling thread takes a share too.  Jobs must be independent: numpy
+    releases the GIL inside its loops, so they overlap.  The first failure
+    is re-raised here once every thread has finished.
+    """
+    workers = min(_WORKERS, len(jobs))
+    if workers <= 1:
+        for job in jobs:
+            job()
+        return
+    errors = []
+
+    def run(share):
+        try:
+            for job in share:
+                job()
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(jobs[w::workers],)) for w in range(1, workers)
+    ]
+    started = []
+    try:
+        for t in threads:
+            t.start()
+            started.append(t)
+        run(jobs[0::workers])
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def _splitmix(z: np.ndarray, t: np.ndarray, ramp: np.ndarray, seed: int, k: int) -> None:
+    """z = splitmix64 outputs from counter k on, spaced as ramp says; t is scratch.
+
+    seed + k * gamma is linear in the counter, so the slice starts as one add
+    onto the fixed ramp; the finalizer then runs in place.
+    """
+    np.add(ramp, np.uint64((seed + k * _SM64_GAMMA) & _U64_MASK), out=z)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= np.uint64(_SM64_MIX1)
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= np.uint64(_SM64_MIX2)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+
+
+def _ramp(n: int, step: int) -> np.ndarray:
+    """step * gamma multiples, the offsets of n counters step apart."""
+    ramp = np.arange(0, n * step, step, dtype=np.uint64)
+    ramp *= np.uint64(_SM64_GAMMA)
+    return ramp
+
+
+def _box_muller_into(out: np.ndarray, seed: int, count: int, ramp: np.ndarray) -> None:
+    """Normal i of out from outputs count+2i+1 (u1) and count+2i+2 (u2).
+
+    One _SLICE at a time, the whole pipeline runs while the slice is in
+    cache: splitmix64, the top 53 bits as a double, then
+    sqrt(-2 log(1 - u1)) * cos(2 pi u2), one ufunc per operation in the
+    textbook order (2**-53 and 2 pi folded into one exact factor), so every
+    bit matches the plain expression.  ramp holds
+    the step-2 offsets of a slice and is only read.  The scratch is two
+    slices: z for the raw outputs, and r for u1, which is also the mixing
+    scratch until u1 is written into it.
+    """
+    z = np.empty(min(len(out), _SLICE), dtype=np.uint64)
+    r = np.empty(len(z))
+    for s in range(0, len(out), _SLICE):
+        o = out[s : s + _SLICE]
+        k = len(o)
+        zk, rk, ramp_k = z[:k], r[:k], ramp[:k]
+        first = count + 1 + 2 * s
+        _splitmix(zk, rk.view(np.uint64), ramp_k, seed, first + 1)
+        zk >>= np.uint64(11)
+        np.copyto(o, zk, casting="unsafe")  # exact below 2**53; no cast buffer
+        o *= _TWO_PI_2POW53
+        np.cos(o, out=o)
+        _splitmix(zk, rk.view(np.uint64), ramp_k, seed, first)
+        zk >>= np.uint64(11)
+        np.copyto(rk, zk, casting="unsafe")
+        rk *= _INV_2POW53
+        np.subtract(1.0, rk, out=rk)
+        np.log(rk, out=rk)
+        rk *= -2.0
+        np.sqrt(rk, out=rk)
+        o *= rk
 
 
 class RandomSource:
@@ -236,6 +343,14 @@ class RandomSource:
     one uniform per candidate in each batched Marsaglia-Tsang rejection round,
     plus n uniforms when shape < 1.
 
+    ``normals`` builds its output in slices of ``_SLICE`` normals.  A call of
+    at least ``_SERIAL_SLICES`` slices is cut into one contiguous run of
+    slices per worker thread (at most ``_WORKERS``, the usable CPUs); each
+    worker has its own scratch and derives its counters from the call's
+    starting counter and its first slice, so no two workers share a counter
+    and the output is the same bits for any number of workers.  Only the
+    calling thread reads or advances the instance's counter.
+
     Instances are single-owner: concurrent use requires independent instances
     with distinct seeds.
     """
@@ -245,61 +360,38 @@ class RandomSource:
         self._count = 0
 
     def _raw_block(self, n: int, step: int = 1, offset: int = 1) -> np.ndarray:
-        """Outputs c+offset, c+offset+step, ... (n of them); the caller advances c.
-
-        seed + k * gamma is linear in the counter k, so each slice starts as
-        one add onto a fixed ramp of step * gamma multiples; the finalizer then
-        runs in place on a slice small enough to stay in cache.
-        """
+        """Outputs c+offset, c+offset+step, ... (n of them); the caller advances c."""
         out = np.empty(n, dtype=np.uint64)
-        ramp = np.arange(0, min(n, _SLICE) * step, step, dtype=np.uint64)
-        ramp *= np.uint64(_SM64_GAMMA)
+        ramp = _ramp(min(n, _SLICE), step)
         t = np.empty_like(ramp)
         for s in range(0, n, _SLICE):
             z = out[s : s + _SLICE]
-            tz = t[: len(z)]
             k = self._count + offset + s * step
-            base = (self.seed + k * _SM64_GAMMA) & _U64_MASK
-            np.add(ramp[: len(z)], np.uint64(base), out=z)
-            np.right_shift(z, np.uint64(30), out=tz)
-            z ^= tz
-            z *= np.uint64(_SM64_MIX1)
-            np.right_shift(z, np.uint64(27), out=tz)
-            z ^= tz
-            z *= np.uint64(_SM64_MIX2)
-            np.right_shift(z, np.uint64(31), out=tz)
-            z ^= tz
+            _splitmix(z, t[: len(z)], ramp[: len(z)], self.seed, k)
         return out
-
-    @staticmethod
-    def _unit(raw: np.ndarray) -> np.ndarray:
-        """Doubles in [0, 1) from the top 53 bits of each raw output."""
-        raw >>= np.uint64(11)
-        u = raw.astype(np.float64)
-        u *= _INV_2POW53
-        return u
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1) from the top 53 bits of the stream."""
-        u = self._unit(self._raw_block(n))
+        raw = self._raw_block(n)
         self._count += n
-        return u
+        raw >>= np.uint64(11)
+        return np.multiply(raw, _INV_2POW53)
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller, two uniforms each."""
-        u1 = self._unit(self._raw_block(n, 2, 1))
-        u2 = self._unit(self._raw_block(n, 2, 2))
+        out = np.empty(n)
+        slices = -(-n // _SLICE)
+        workers = min(_WORKERS, slices) if slices >= _SERIAL_SLICES else 1
+        cuts = [min(w * slices // workers * _SLICE, n) for w in range(workers)] + [n]
+        ramp = _ramp(min(n, _SLICE), 2)
+        run_parallel(
+            [
+                partial(_box_muller_into, out[a:b], self.seed, self._count + 2 * a, ramp)
+                for a, b in zip(cuts, cuts[1:])
+            ]
+        )
         self._count += 2 * n
-        # sqrt(-2 log(1 - u1)) * cos(2 pi u2) in place, one ufunc per operation
-        # in the textbook order, so every bit matches the plain expression
-        np.subtract(1.0, u1, out=u1)
-        np.log(u1, out=u1)
-        u1 *= -2.0
-        np.sqrt(u1, out=u1)
-        u2 *= 2.0 * math.pi
-        np.cos(u2, out=u2)
-        u1 *= u2
-        return u1
+        return out
 
     def inverse_gammas(self, n: int, shape: float, scale: float) -> np.ndarray:
         """n inverse-gamma variates with batched (vectorized) rejection."""
@@ -319,9 +411,12 @@ class RandomSource:
             v = (1.0 + c * x) ** 3
             pos = v > 0.0
             with np.errstate(divide="ignore", invalid="ignore"):
-                squeeze = u < 1.0 - 0.0331 * x**4
                 slow = np.log(u) < 0.5 * x**2 + d - d * v + d * np.log(np.where(pos, v, 1.0))
-            accept = pos & (squeeze | slow)
+            accept = pos & slow
+            # the squeeze can only add candidates the exact test refused; x**4
+            # is costly on negative x, so it runs on those few alone
+            late = np.flatnonzero(pos & ~slow)
+            accept[late] = u[late] < 1.0 - 0.0331 * x[late] ** 4
             out[pending[accept]] = d * v[accept]
             pending = pending[~accept]
         if shape < 1.0:

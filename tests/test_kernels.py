@@ -8,6 +8,8 @@ incomplete-gamma power series.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +226,28 @@ class TestChi2Sf:
             kernels.chi2_sf(1.0, 0.0)
 
 
+class TestRunParallel:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_job_runs_once(self, workers, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        done = []
+        kernels.run_parallel([lambda i=i: done.append(i) for i in range(7)])
+        assert sorted(done) == list(range(7))
+
+    def test_worker_failure_is_raised_after_every_job_ends(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        done = []
+
+        def fail():
+            time.sleep(0.05)  # still running when the calling thread's job is done
+            done.append(1)
+            raise MemoryError("worker")
+
+        with pytest.raises(MemoryError, match="worker"):
+            kernels.run_parallel([lambda: done.append(0), fail])
+        assert sorted(done) == [0, 1]
+
+
 # first four draws of each method from a fresh RandomSource(42), as float.hex
 SEED42_VECTORS = {
     "uniforms": (
@@ -310,6 +334,19 @@ class TestRandomSource:
             raw = rs._raw_block(2 * s + 3, step, offset)
             for i in (0, 1, s - 1, s, s + 1, 2 * s, 2 * s + 2):
                 assert int(raw[i]) == mix64(seed, 5 + offset + i * step), (step, offset, i)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_normals_allocate_little_beyond_their_output(self, workers, monkeypatch):
+        # two slices of scratch per worker and one shared ramp; no full-size temporaries
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        rs = kernels.RandomSource(8)
+        tracemalloc.start()
+        try:
+            z = rs.normals(2_000_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * z.nbytes
 
     def test_normal_moments(self):
         rs = kernels.RandomSource(2024)

@@ -4,7 +4,9 @@ The check runs in a fresh interpreter so that scipy modules imported by other
 test files cannot leak in, and installs an import hook that raises on any
 ``scipy`` import before ``twinreg`` is loaded.  The same run checks that
 no subcommand pulls in ``numpy.ma``, which ``np.median`` and ``np.quantile``
-import on first use (~18 ms of every cold run).
+import on first use (~18 ms of every cold run), or ``concurrent.futures``,
+whose import pulls in ``logging`` (~10 ms).  At the default 10k draws no
+subcommand starts a thread: only large draws and sorts are spread over CPUs.
 """
 
 import os
@@ -16,7 +18,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "data" / "loanloss_quarterly.csv"
 
 GUARDED_RUN = r"""
-import contextlib, io, sys
+import contextlib, io, sys, threading
 
 class RefuseScipy:
     def find_spec(self, name, path=None, target=None):
@@ -26,6 +28,13 @@ class RefuseScipy:
 
 sys.meta_path.insert(0, RefuseScipy())
 
+started = []
+_start = threading.Thread.start
+def counted_start(thread):
+    started.append(thread)
+    _start(thread)
+threading.Thread.start = counted_start
+
 from twinreg.cli import main
 
 fixture, daily = sys.argv[1:3]
@@ -33,6 +42,7 @@ runs = [
     ["describe"], ["anova"], ["anova", "--group", "year"], ["ols"],
     ["bayes", "--draws", "2000"], ["bayes", "--draws", "2000", "--hdi"],
     ["verdict", "--draws", "2000"], ["report", "--draws", "2000"],
+    ["bayes"], ["report"],
 ]
 for fmt in ("text", "json"):
     argvs = [[*r, "--input", fixture] for r in runs]
@@ -48,6 +58,9 @@ loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
 masked = sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])
 assert not masked, masked
+pooled = sorted(m for m in sys.modules if m.startswith("concurrent"))
+assert not pooled, pooled
+assert not started, started
 print("ok")
 """
 
