@@ -301,7 +301,8 @@ class TestRandomSource:
         b.uniforms(2)
         assert np.array_equal(a.uniforms(3), b.uniforms(3))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 3 * kernels._SLICE + 5])
+    # 49157 ends inside a slice past the first boundary; 3 slices + 5 spans several
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 49157, 3 * kernels._SLICE + 5])
     @pytest.mark.parametrize("moved", [False, True])
     def test_normals_are_box_muller_on_interleaved_uniforms(self, n, moved):
         a = kernels.RandomSource(77)
