@@ -32,16 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .kernels import RandomSource, median_of_sorted, run_parallel
+from .kernels import RandomSource, median_of_sorted
 from .ols import DesignMatrix, OlsFit
-
-_PARALLEL_SORT_MIN = 1 << 17  # shorter columns sort on the calling thread
 
 
 @dataclass
@@ -259,41 +256,26 @@ def summarize_posterior(
     """Per-parameter median, credible interval, ROPE bounds, and PIROPE.
 
     Each column is sorted once; every number is then read from that copy.
-    Columns are sorted two at a time, long ones on two threads when the
-    machine has a spare CPU, so at most two sorted copies are alive at once.
     """
     rope = rope_bounds(loss)
     interval = hdi_interval if use_hdi else credible_interval
     out = []
-    for j in range(0, len(post.names), 2):
-        ranked = _sorted_columns(post.beta[:, j : j + 2])
-        for i, name in enumerate(post.names[j : j + 2]):
-            lo, hi = interval(ranked[i], level)
-            out.append(
-                PosteriorSummary(
-                    name=name,
-                    draws=post.beta[:, j + i],
-                    median=median_of_sorted(ranked[i]),
-                    ci_low=lo,
-                    ci_high=hi,
-                    ci_midpoint=0.5 * (lo + hi),
-                    rope_low=rope[0],
-                    rope_high=rope[1],
-                    pirope=pirope(ranked[i], (lo, hi), rope),
-                )
+    for j, name in enumerate(post.names):
+        col = post.beta[:, j]
+        ranked = np.sort(col)
+        lo, hi = interval(ranked, level)
+        out.append(
+            PosteriorSummary(
+                name=name,
+                draws=col,
+                median=median_of_sorted(ranked),
+                ci_low=lo,
+                ci_high=hi,
+                ci_midpoint=0.5 * (lo + hi),
+                rope_low=rope[0],
+                rope_high=rope[1],
+                pirope=pirope(ranked, (lo, hi), rope),
             )
-        del ranked  # free this pair's copies before the next pair is sorted
+        )
+        del ranked  # free this column's copy before the next one is sorted
     return out
-
-
-def _sorted_columns(block: np.ndarray) -> list[np.ndarray]:
-    """A sorted copy of each column of block; long columns sort on their own threads."""
-    if len(block) < _PARALLEL_SORT_MIN:
-        return [np.sort(block[:, i]) for i in range(block.shape[1])]
-    ranked = [None] * block.shape[1]
-
-    def sort(i: int) -> None:
-        ranked[i] = np.sort(block[:, i])
-
-    run_parallel([partial(sort, i) for i in range(len(ranked))])
-    return ranked

@@ -229,39 +229,31 @@ if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:  # no affinity call on this platform
     _WORKERS = os.cpu_count() or 1
-_SERIAL_SLICES = 8  # calls of fewer slices than this stay on the calling thread
+_SERIAL_SLICES = 8  # each worker takes at least this many slices
 
 
 def run_parallel(jobs: list) -> None:
-    """Run every job once, spread over at most ``_WORKERS`` threads.
+    """Run each job once: the first on the calling thread, the rest on a thread each.
 
-    The calling thread takes a share too.  Jobs must be independent: numpy
-    releases the GIL inside its loops, so they overlap.  The first failure
-    is re-raised here once every thread has finished.
+    Jobs must be independent: numpy releases the GIL inside its loops, so
+    they overlap.  The first failure is re-raised here once every thread
+    has finished.
     """
-    workers = min(_WORKERS, len(jobs))
-    if workers <= 1:
-        for job in jobs:
-            job()
-        return
     errors = []
 
-    def run(share):
+    def run(job):
         try:
-            for job in share:
-                job()
+            job()
         except BaseException as exc:  # re-raised on the calling thread
             errors.append(exc)
 
-    threads = [
-        threading.Thread(target=run, args=(jobs[w::workers],)) for w in range(1, workers)
-    ]
     started = []
     try:
-        for t in threads:
+        for job in jobs[1:]:
+            t = threading.Thread(target=run, args=(job,))
             t.start()
             started.append(t)
-        run(jobs[0::workers])
+        run(jobs[0])
     finally:
         for t in started:
             t.join()
@@ -343,13 +335,16 @@ class RandomSource:
     one uniform per candidate in each batched Marsaglia-Tsang rejection round,
     plus n uniforms when shape < 1.
 
-    ``normals`` builds its output in slices of ``_SLICE`` normals.  A call of
-    at least ``_SERIAL_SLICES`` slices is cut into one contiguous run of
-    slices per worker thread (at most ``_WORKERS``, the usable CPUs); each
-    worker has its own scratch and derives its counters from the call's
-    starting counter and its first slice, so no two workers share a counter
-    and the output is the same bits for any number of workers.  Only the
-    calling thread reads or advances the instance's counter.
+    ``normals`` builds its output in slices of ``_SLICE`` normals.  A call is
+    cut into one contiguous run of slices per worker thread, with at most
+    ``_WORKERS`` workers (the CPUs in the affinity mask; a cgroup CPU quota is
+    not seen) and at least ``_SERIAL_SLICES`` slices each, so calls under
+    twice that stay on the calling thread.  Each worker has two slices of
+    scratch, at most a quarter of its share of the output, and derives its
+    counters from the call's starting counter and its first slice, so no two
+    workers share a counter and the output is the same bits for any number
+    of workers.  Only the calling thread reads or advances the instance's
+    counter.
 
     Instances are single-owner: concurrent use requires independent instances
     with distinct seeds.
@@ -359,15 +354,14 @@ class RandomSource:
         self.seed = int(seed) & _U64_MASK
         self._count = 0
 
-    def _raw_block(self, n: int, step: int = 1, offset: int = 1) -> np.ndarray:
-        """Outputs c+offset, c+offset+step, ... (n of them); the caller advances c."""
+    def _raw_block(self, n: int) -> np.ndarray:
+        """Outputs c+1 .. c+n; the caller advances c."""
         out = np.empty(n, dtype=np.uint64)
-        ramp = _ramp(min(n, _SLICE), step)
+        ramp = _ramp(min(n, _SLICE), 1)
         t = np.empty_like(ramp)
         for s in range(0, n, _SLICE):
             z = out[s : s + _SLICE]
-            k = self._count + offset + s * step
-            _splitmix(z, t[: len(z)], ramp[: len(z)], self.seed, k)
+            _splitmix(z, t[: len(z)], ramp[: len(z)], self.seed, self._count + 1 + s)
         return out
 
     def uniforms(self, n: int) -> np.ndarray:
@@ -381,7 +375,7 @@ class RandomSource:
         """n standard normals via Box-Muller, two uniforms each."""
         out = np.empty(n)
         slices = -(-n // _SLICE)
-        workers = min(_WORKERS, slices) if slices >= _SERIAL_SLICES else 1
+        workers = max(1, min(_WORKERS, slices // _SERIAL_SLICES))
         cuts = [min(w * slices // workers * _SLICE, n) for w in range(workers)] + [n]
         ramp = _ramp(min(n, _SLICE), 2)
         run_parallel(

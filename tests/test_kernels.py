@@ -8,6 +8,7 @@ incomplete-gamma power series.
 """
 
 import math
+import threading
 import time
 import tracemalloc
 
@@ -227,15 +228,13 @@ class TestChi2Sf:
 
 
 class TestRunParallel:
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_every_job_runs_once(self, workers, monkeypatch):
-        monkeypatch.setattr(kernels, "_WORKERS", workers)
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_every_job_runs_once(self, jobs):
         done = []
-        kernels.run_parallel([lambda i=i: done.append(i) for i in range(7)])
-        assert sorted(done) == list(range(7))
+        kernels.run_parallel([lambda i=i: done.append(i) for i in range(jobs)])
+        assert sorted(done) == list(range(jobs))
 
-    def test_worker_failure_is_raised_after_every_job_ends(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_WORKERS", 2)
+    def test_worker_failure_is_raised_after_every_job_ends(self):
         done = []
 
         def fail():
@@ -320,7 +319,8 @@ class TestRandomSource:
 
     def test_raw_block_matches_scalar_splitmix64(self):
         # reference: the splitmix64 finalizer on Python integers, around the
-        # slice boundaries where the block restarts from its ramp
+        # slice boundaries where the block restarts from its ramp; the step-2
+        # ramp is the one the fused normals run on the odd and even counters
         def mix64(seed, k):
             z = (seed + k * 0x9E3779B97F4A7C15) & kernels._U64_MASK
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & kernels._U64_MASK
@@ -331,10 +331,14 @@ class TestRandomSource:
         seed = 2**64 - 3
         rs = kernels.RandomSource(seed)
         rs._count = 5
-        for step, offset in ((1, 1), (2, 1), (2, 2)):
-            raw = rs._raw_block(2 * s + 3, step, offset)
-            for i in (0, 1, s - 1, s, s + 1, 2 * s, 2 * s + 2):
-                assert int(raw[i]) == mix64(seed, 5 + offset + i * step), (step, offset, i)
+        raw = rs._raw_block(2 * s + 3)
+        for i in (0, 1, s - 1, s, s + 1, 2 * s, 2 * s + 2):
+            assert int(raw[i]) == mix64(seed, 6 + i), i
+        raw = np.empty(s, dtype=np.uint64)
+        for k in (6, 7):
+            kernels._splitmix(raw, np.empty_like(raw), kernels._ramp(s, 2), seed, k)
+            for i in (0, 1, s - 2, s - 1):
+                assert int(raw[i]) == mix64(seed, k + 2 * i), (k, i)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_normals_allocate_little_beyond_their_output(self, workers, monkeypatch):
@@ -348,6 +352,32 @@ class TestRandomSource:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * z.nbytes
+
+    def test_many_cpus_give_each_worker_a_share_of_slices(self, monkeypatch):
+        # a worker takes at least _SERIAL_SLICES slices, so a call starts no
+        # more threads than that allows and its scratch stays a fraction of
+        # the output however many CPUs the process may use
+        monkeypatch.setattr(kernels, "_WORKERS", 64)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        n = 2_000_000
+        rs = kernels.RandomSource(8)
+        tracemalloc.start()
+        try:
+            z = rs.normals(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slices = -(-n // kernels._SLICE)
+        assert len(started) == slices // kernels._SERIAL_SLICES - 1
+        ramp = kernels._SLICE * 8
+        assert peak <= (1 + 2 / kernels._SERIAL_SLICES) * z.nbytes + 2 * ramp
 
     def test_normal_moments(self):
         rs = kernels.RandomSource(2024)
