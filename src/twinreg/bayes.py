@@ -161,12 +161,16 @@ def sample_posterior(
         raise DataError(f"posterior scale collapsed to {b_n}; check the prior spec")
 
     sigma2 = rs.inverse_gammas(draws, a_n, b_n)
-    z = rs.normals(draws * p).reshape(draws, p)
-    # draw-major: row k is mu_n + sqrt(sigma2_k) * U_inv z_k, i.e. L' w_k = z_k
-    beta = z @ U_inv.T
-    beta *= np.sqrt(sigma2)[:, None]
-    beta += mu_n
-    beta[:, 0] -= beta[:, 1:] @ xbar[1:]
+
+    def to_draws(z, block, rows):
+        # draw-major: row k is mu_n + sqrt(sigma2_k) * U_inv z_k, i.e. L' w_k = z_k
+        np.matmul(z, U_inv.T, out=block)
+        block *= np.sqrt(sigma2[rows])[:, None]
+        block += mu_n
+        block[:, 0] -= block[:, 1:] @ xbar[1:]
+
+    beta = np.empty((draws, p))
+    rs.normal_rows(beta, to_draws)
     return PosteriorDraws(beta=beta, sigma2=sigma2, names=d.names)
 
 

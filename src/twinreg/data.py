@@ -78,11 +78,18 @@ class ModelFrame:
 
 
 def _as_text_lines(data: bytes | str | IO[bytes]) -> io.StringIO:
-    if isinstance(data, bytes):
-        return io.StringIO(data.decode("utf-8"))
     if isinstance(data, str):
         return io.StringIO(data)
-    return io.StringIO(data.read().decode("utf-8"))
+    if not isinstance(data, bytes):
+        data = data.read()
+    try:
+        # utf-8-sig: a leading byte-order mark is dropped, not read into the header
+        return io.StringIO(data.decode("utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after any byte-order mark, which holds no newline
+        line = exc.object[: exc.start].count(b"\n") + 1
+        bad = exc.object[exc.start]
+        raise ParseError(f"not UTF-8: byte 0x{bad:02x}", line=line) from None
 
 
 def _parse_quarter_date(text: str, line: int) -> datetime.date:

@@ -229,7 +229,7 @@ if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:  # no affinity call on this platform
     _WORKERS = os.cpu_count() or 1
-_SERIAL_SLICES = 8  # each worker takes at least this many slices
+_SERIAL_SLICES = 8  # each worker takes at least this many blocks of rows
 
 
 def run_parallel(jobs: list) -> None:
@@ -285,39 +285,106 @@ def _ramp(n: int, step: int) -> np.ndarray:
     return ramp
 
 
-def _box_muller_into(out: np.ndarray, seed: int, count: int, ramp: np.ndarray) -> None:
-    """Normal i of out from outputs count+2i+1 (u1) and count+2i+2 (u2).
+def _box_muller_into(
+    o: np.ndarray, seed: int, count: int, ramp: np.ndarray, z: np.ndarray, r: np.ndarray
+) -> None:
+    """Normal i of o from outputs count+2i+1 (u1) and count+2i+2 (u2).
 
-    One _SLICE at a time, the whole pipeline runs while the slice is in
-    cache: splitmix64, the top 53 bits as a double, then
-    sqrt(-2 log(1 - u1)) * cos(2 pi u2), one ufunc per operation in the
-    textbook order (2**-53 and 2 pi folded into one exact factor), so every
-    bit matches the plain expression.  ramp holds
-    the step-2 offsets of a slice and is only read.  The scratch is two
-    slices: z for the raw outputs, and r for u1, which is also the mixing
-    scratch until u1 is written into it.
+    The whole pipeline runs on one block while it is in cache: splitmix64,
+    the top 53 bits as a double, then sqrt(-2 log(1 - u1)) * cos(2 pi u2),
+    one ufunc per operation in the textbook order (2**-53 and 2 pi folded
+    into one exact factor), so every bit matches the plain expression.  ramp
+    holds the step-2 offsets and is only read.  z (raw outputs) and r (u1,
+    and the mixing scratch until u1 is written into it) are as long as o.
     """
-    z = np.empty(min(len(out), _SLICE), dtype=np.uint64)
-    r = np.empty(len(z))
-    for s in range(0, len(out), _SLICE):
-        o = out[s : s + _SLICE]
-        k = len(o)
-        zk, rk, ramp_k = z[:k], r[:k], ramp[:k]
-        first = count + 1 + 2 * s
-        _splitmix(zk, rk.view(np.uint64), ramp_k, seed, first + 1)
-        zk >>= np.uint64(11)
-        np.copyto(o, zk, casting="unsafe")  # exact below 2**53; no cast buffer
-        o *= _TWO_PI_2POW53
-        np.cos(o, out=o)
-        _splitmix(zk, rk.view(np.uint64), ramp_k, seed, first)
-        zk >>= np.uint64(11)
-        np.copyto(rk, zk, casting="unsafe")
-        rk *= _INV_2POW53
-        np.subtract(1.0, rk, out=rk)
-        np.log(rk, out=rk)
-        rk *= -2.0
-        np.sqrt(rk, out=rk)
-        o *= rk
+    ri = r.view(np.uint64)
+    _splitmix(z, ri, ramp, seed, count + 2)
+    z >>= np.uint64(11)
+    np.copyto(o, z, casting="unsafe")  # exact below 2**53; no cast buffer
+    o *= _TWO_PI_2POW53
+    np.cos(o, out=o)
+    _splitmix(z, ri, ramp, seed, count + 1)
+    z >>= np.uint64(11)
+    np.copyto(r, z, casting="unsafe")
+    r *= _INV_2POW53
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    o *= r
+
+
+def _normal_rows_into(out, first, last, step, seed, count, ramp, transform) -> None:
+    """Rows first .. last-1 of out, made step rows at a time.
+
+    Row k's normals come from outputs count+2kp+1 .. count+2(k+1)p.  With a
+    transform, each block is made in scratch and handed on as
+    transform(z, out[rows], rows); without one it is made in out itself.
+    A last block of one row joins the block before it, because numpy
+    multiplies a one-row matrix with gemv, whose bits differ from gemm's.
+    ramp is as long as the largest block's normals.
+    """
+    p = out.shape[1]
+    raw = np.empty(len(ramp), dtype=np.uint64)
+    u1 = np.empty(len(ramp))
+    block = np.empty(len(ramp)) if transform is not None else None
+    r0 = first
+    while r0 < last:
+        r1 = min(r0 + step, last)
+        if last - r1 == 1:
+            r1 = last
+        rows = slice(r0, r1)
+        dst = out[rows]
+        k = dst.size
+        o = dst.reshape(-1) if block is None else block[:k]
+        _box_muller_into(o, seed, count + 2 * r0 * p, ramp[:k], raw[:k], u1[:k])
+        if block is not None:
+            transform(o.reshape(dst.shape), dst, rows)
+        r0 = r1
+
+
+def _marsaglia_tsang_into(dst: np.ndarray, x: np.ndarray, u: np.ndarray, c: float, d: float):
+    """One batched Marsaglia-Tsang round: the accept mask, and d * v in dst.
+
+    v = (1 + c x)**3; a candidate is kept when v > 0 and log(u) < x**2/2 + d
+    - d v + d log(v), or by the squeeze u < 1 - 0.0331 x**4.  The arithmetic
+    runs one _SLICE at a time in reused scratch, one ufunc per operation in
+    the order of the plain expression, so the mask and dst are the same bits
+    as whole-array temporaries would give.
+    """
+    m = len(x)
+    accept = np.empty(m, dtype=bool)
+    k = min(m, _SLICE)
+    v, t, s = np.empty(k), np.empty(k), np.empty(k)
+    pos = np.empty(k, dtype=bool)
+    for a in range(0, m, _SLICE):
+        xs, us, acc = x[a : a + _SLICE], u[a : a + _SLICE], accept[a : a + _SLICE]
+        j = len(xs)
+        vs, ts, ss, ps = v[:j], t[:j], s[:j], pos[:j]
+        np.multiply(xs, c, out=vs)
+        vs += 1.0
+        np.power(vs, 3, out=vs)  # what ** 3 calls
+        np.greater(vs, 0.0, out=ps)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.square(xs, out=ts)
+            ts *= 0.5
+            ts += d
+            np.multiply(vs, d, out=ss)
+            ts -= ss
+            ss.fill(1.0)
+            np.copyto(ss, vs, where=ps)
+            np.log(ss, out=ss)
+            ss *= d
+            ts += ss
+            np.log(us, out=ss)
+        np.less(ss, ts, out=acc)
+        # the squeeze can only add candidates the exact test refused; x**4
+        # is costly on negative x, so it runs on those few alone
+        late = np.flatnonzero(ps & ~acc)
+        acc &= ps
+        acc[late] = us[late] < 1.0 - 0.0331 * xs[late] ** 4
+        np.multiply(vs, d, out=dst[a : a + j])
+    return accept
 
 
 class RandomSource:
@@ -335,16 +402,24 @@ class RandomSource:
     one uniform per candidate in each batched Marsaglia-Tsang rejection round,
     plus n uniforms when shape < 1.
 
-    ``normals`` builds its output in slices of ``_SLICE`` normals.  A call is
-    cut into one contiguous run of slices per worker thread, with at most
+    ``normal_rows(out)`` fills a (rows, p) array with the same normals that
+    ``normals(rows * p)`` would return, row after row: normal (r, j) uses
+    outputs c+2(r*p+j)+1 and c+2(r*p+j)+2 on any number of workers.
+    ``normals(n)`` is its p = 1 case.  The rows are made in blocks of
+    ``_SLICE // p`` rows (a final block of one row joins the block before
+    it), each while it is in cache; with a transform, a block is made in
+    scratch and handed to the transform, which writes its rows of out, so a
+    caller never holds all the normals beside their transformed copy.  A call
+    is cut into one contiguous run of blocks per worker thread, with at most
     ``_WORKERS`` workers (the CPUs in the affinity mask; a cgroup CPU quota is
-    not seen) and at least ``_SERIAL_SLICES`` slices each, so calls under
-    twice that stay on the calling thread.  Each worker has two slices of
-    scratch, at most a quarter of its share of the output, and derives its
-    counters from the call's starting counter and its first slice, so no two
-    workers share a counter and the output is the same bits for any number
-    of workers.  Only the calling thread reads or advances the instance's
-    counter.
+    not seen) and at least ``_SERIAL_SLICES`` blocks each, so calls under
+    twice that stay on the calling thread.  Each worker has two blocks of
+    scratch, three with a transform, so a threaded worker's scratch is at most
+    three eighths of its share of the output.  Each worker
+    derives its counters from the call's starting counter and its first row,
+    so no two workers share a counter and the output is the same bits for
+    any number of workers.  Only the calling thread reads or advances the
+    instance's counter.
 
     Instances are single-owner: concurrent use requires independent instances
     with distinct seeds.
@@ -369,22 +444,41 @@ class RandomSource:
         raw = self._raw_block(n)
         self._count += n
         raw >>= np.uint64(11)
-        return np.multiply(raw, _INV_2POW53)
+        # in place: exact below 2**53, and each word is read before its
+        # double is written over it (np.multiply would copy the overlap)
+        u = raw.view(np.float64)
+        np.copyto(u, raw, casting="unsafe")
+        u *= _INV_2POW53
+        return u
+
+    def normal_rows(self, out: np.ndarray, transform=None) -> None:
+        """Fill the rows of out, a (rows, p) array, with standard normals.
+
+        Row k takes the next normals in order, k*p .. (k+1)*p - 1, and the
+        counter advances by 2 * rows * p.  With transform, each block of rows
+        is made in scratch and transform(z, out[rows], rows) writes it, so a
+        caller can map normals to draws while the block is in cache.
+        """
+        rows, p = out.shape
+        step = max(1, _SLICE // p)
+        blocks = -(-rows // step)
+        workers = max(1, min(_WORKERS, blocks // _SERIAL_SLICES))
+        cuts = [min(w * blocks // workers * step, rows) for w in range(workers)] + [rows]
+        ramp = _ramp(min(rows, step + 1) * p, 2)
+        run_parallel(
+            [
+                partial(
+                    _normal_rows_into, out, a, b, step, self.seed, self._count, ramp, transform
+                )
+                for a, b in zip(cuts, cuts[1:])
+            ]
+        )
+        self._count += 2 * rows * p
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller, two uniforms each."""
         out = np.empty(n)
-        slices = -(-n // _SLICE)
-        workers = max(1, min(_WORKERS, slices // _SERIAL_SLICES))
-        cuts = [min(w * slices // workers * _SLICE, n) for w in range(workers)] + [n]
-        ramp = _ramp(min(n, _SLICE), 2)
-        run_parallel(
-            [
-                partial(_box_muller_into, out[a:b], self.seed, self._count + 2 * a, ramp)
-                for a, b in zip(cuts, cuts[1:])
-            ]
-        )
-        self._count += 2 * n
+        self.normal_rows(out.reshape(n, 1))
         return out
 
     def inverse_gammas(self, n: int, shape: float, scale: float) -> np.ndarray:
@@ -397,23 +491,18 @@ class RandomSource:
         d = alpha - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         out = np.empty(n)
-        pending = np.arange(n)
+        # the first round draws one candidate per output, in order, straight
+        # into out; later rounds redraw only the refused ones
+        accept = _marsaglia_tsang_into(out, self.normals(n), self.uniforms(n), c, d)
+        pending = np.flatnonzero(~accept)
         while pending.size:
             m = pending.size
-            x = self.normals(m)
-            u = self.uniforms(m)
-            v = (1.0 + c * x) ** 3
-            pos = v > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slow = np.log(u) < 0.5 * x**2 + d - d * v + d * np.log(np.where(pos, v, 1.0))
-            accept = pos & slow
-            # the squeeze can only add candidates the exact test refused; x**4
-            # is costly on negative x, so it runs on those few alone
-            late = np.flatnonzero(pos & ~slow)
-            accept[late] = u[late] < 1.0 - 0.0331 * x[late] ** 4
-            out[pending[accept]] = d * v[accept]
+            dv = np.empty(m)
+            accept = _marsaglia_tsang_into(dv, self.normals(m), self.uniforms(m), c, d)
+            out[pending[accept]] = dv[accept]
             pending = pending[~accept]
         if shape < 1.0:
-            u = 1.0 - self.uniforms(n)
+            u = self.uniforms(n)
+            np.subtract(1.0, u, out=u)
             out *= u ** (1.0 / shape)
-        return scale / out
+        return np.divide(scale, out, out=out)

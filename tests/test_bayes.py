@@ -96,6 +96,21 @@ class TestSamplePosterior:
             tracemalloc.stop()
         assert peak <= 4 * post.beta.nbytes
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_draws_are_made_block_by_block(self, workers, monkeypatch):
+        # beta and sigma2 plus a few blocks of scratch per worker: the normals
+        # are never all alive beside beta
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        d = make_design(seed=16, p=8)
+        fit, prior = fit_ols(d), default_prior(d)
+        tracemalloc.start()
+        try:
+            post = sample_posterior(d, fit, prior, 200_000, RandomSource(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * post.beta.nbytes
+
     def test_minimum_draws_enforced(self):
         d = make_design()
         with pytest.raises(ValueError):

@@ -226,6 +226,24 @@ class TestFailureExitCodes:
         assert err.startswith("data error:")
         assert fields[0] in err
 
+    def test_non_utf8_byte_is_parse_error(self, run, tmp_path):
+        lines = Path(FIXTURE).read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b",", b",\xff", 1)
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"\n".join(lines))
+        code, out, err = run("describe", "--input", str(path))
+        assert code == 1
+        assert out == b""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("parse error: line 4:")
+
+    def test_byte_order_mark_is_ignored(self, run, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(FIXTURE).read_bytes())
+        with_bom = run("report", "--input", str(path))
+        assert with_bom == run("report", "--input", FIXTURE)
+        assert with_bom[0] == 0
+
     @pytest.mark.parametrize("command", ["ols", "bayes", "verdict", "report"])
     def test_constant_response_is_data_error(self, run, tmp_path, command):
         lines = Path(FIXTURE).read_text().splitlines()

@@ -353,6 +353,18 @@ class TestRandomSource:
             tracemalloc.stop()
         assert peak <= 1.1 * z.nbytes
 
+    @pytest.mark.parametrize("shape", [19.5, 0.3])
+    def test_inverse_gammas_allocate_few_draw_sized_buffers(self, shape):
+        # the output, one round's normals and uniforms, and slice-sized scratch
+        rs = kernels.RandomSource(8)
+        tracemalloc.start()
+        try:
+            out = rs.inverse_gammas(1_000_000, shape, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.nbytes
+
     def test_many_cpus_give_each_worker_a_share_of_slices(self, monkeypatch):
         # a worker takes at least _SERIAL_SLICES slices, so a call starts no
         # more threads than that allows and its scratch stays a fraction of
