@@ -346,44 +346,24 @@ def _normal_rows_into(out, first, last, step, seed, count, ramp, transform) -> N
 def _marsaglia_tsang_into(dst: np.ndarray, x: np.ndarray, u: np.ndarray, c: float, d: float):
     """One batched Marsaglia-Tsang round: the accept mask, and d * v in dst.
 
-    v = (1 + c x)**3; a candidate is kept when v > 0 and log(u) < x**2/2 + d
-    - d v + d log(v), or by the squeeze u < 1 - 0.0331 x**4.  The arithmetic
-    runs one _SLICE at a time in reused scratch, one ufunc per operation in
-    the order of the plain expression, so the mask and dst are the same bits
-    as whole-array temporaries would give.
+    The round's arithmetic runs one _SLICE of candidates at a time, so its
+    temporaries stay slice-sized and in cache; every operation is elementwise,
+    so the mask and dst are the bits the whole-array expressions give.
     """
-    m = len(x)
-    accept = np.empty(m, dtype=bool)
-    k = min(m, _SLICE)
-    v, t, s = np.empty(k), np.empty(k), np.empty(k)
-    pos = np.empty(k, dtype=bool)
-    for a in range(0, m, _SLICE):
-        xs, us, acc = x[a : a + _SLICE], u[a : a + _SLICE], accept[a : a + _SLICE]
-        j = len(xs)
-        vs, ts, ss, ps = v[:j], t[:j], s[:j], pos[:j]
-        np.multiply(xs, c, out=vs)
-        vs += 1.0
-        np.power(vs, 3, out=vs)  # what ** 3 calls
-        np.greater(vs, 0.0, out=ps)
+    accept = np.empty(len(x), dtype=bool)
+    for a in range(0, len(x), _SLICE):
+        xs, us = x[a : a + _SLICE], u[a : a + _SLICE]
+        v = (1.0 + c * xs) ** 3
+        pos = v > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.square(xs, out=ts)
-            ts *= 0.5
-            ts += d
-            np.multiply(vs, d, out=ss)
-            ts -= ss
-            ss.fill(1.0)
-            np.copyto(ss, vs, where=ps)
-            np.log(ss, out=ss)
-            ss *= d
-            ts += ss
-            np.log(us, out=ss)
-        np.less(ss, ts, out=acc)
+            slow = np.log(us) < 0.5 * xs**2 + d - d * v + d * np.log(np.where(pos, v, 1.0))
+        acc = accept[a : a + _SLICE]
+        np.logical_and(pos, slow, out=acc)
         # the squeeze can only add candidates the exact test refused; x**4
         # is costly on negative x, so it runs on those few alone
-        late = np.flatnonzero(ps & ~acc)
-        acc &= ps
+        late = np.flatnonzero(pos & ~slow)
         acc[late] = us[late] < 1.0 - 0.0331 * xs[late] ** 4
-        np.multiply(vs, d, out=dst[a : a + j])
+        np.multiply(d, v, out=dst[a : a + _SLICE])
     return accept
 
 
@@ -459,6 +439,8 @@ class RandomSource:
         is made in scratch and transform(z, out[rows], rows) writes it, so a
         caller can map normals to draws while the block is in cache.
         """
+        if not out.flags.c_contiguous:
+            raise ValueError("normal_rows needs a C-contiguous (rows, p) array")
         rows, p = out.shape
         step = max(1, _SLICE // p)
         blocks = -(-rows // step)
@@ -502,7 +484,6 @@ class RandomSource:
             out[pending[accept]] = dv[accept]
             pending = pending[~accept]
         if shape < 1.0:
-            u = self.uniforms(n)
-            np.subtract(1.0, u, out=u)
+            u = 1.0 - self.uniforms(n)
             out *= u ** (1.0 / shape)
-        return np.divide(scale, out, out=out)
+        return scale / out

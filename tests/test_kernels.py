@@ -353,6 +353,18 @@ class TestRandomSource:
             tracemalloc.stop()
         assert peak <= 1.1 * z.nbytes
 
+    def test_normal_rows_are_the_normals_in_row_order(self, monkeypatch):
+        # 1000-normal slices: 142-row blocks of 7, and a last block of one row
+        monkeypatch.setattr(kernels, "_SLICE", 1000)
+        monkeypatch.setattr(kernels, "_WORKERS", 2)
+        out = np.empty((142 * 16 + 1, 7))
+        a, b = kernels.RandomSource(5), kernels.RandomSource(5)
+        a.normal_rows(out)
+        assert np.array_equal(out.reshape(-1), b.normals(out.size))
+        assert a._count == b._count == 2 * out.size
+        with pytest.raises(ValueError):
+            a.normal_rows(np.empty((7, 100)).T)
+
     @pytest.mark.parametrize("shape", [19.5, 0.3])
     def test_inverse_gammas_allocate_few_draw_sized_buffers(self, shape):
         # the output, one round's normals and uniforms, and slice-sized scratch

@@ -109,21 +109,6 @@ def test_slice_size_does_not_change_the_stream(slice_, monkeypatch):
         assert _digest(42, call) == DIGESTS[42, call], call
 
 
-def test_more_workers_than_cores_with_fast_thread_switching(monkeypatch):
-    # workers write disjoint slices of one output; a lost or misplaced slice
-    # under heavy interleaving would change the digest
-    monkeypatch.setattr(kernels, "_WORKERS", 8)
-    monkeypatch.setattr(kernels, "_SLICE", 4096)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        n = 8 * S + 3
-        for call in (f"normals-{n}", f"normals-{n}-moved", "inverse_gammas-1.0"):
-            assert _digest(42, call) == DIGESTS[42, call], call
-    finally:
-        sys.setswitchinterval(interval)
-
-
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv"
 
 # (seed, p, draws): (sha256 of beta's bytes, sha256 of sigma2's bytes, counter
@@ -190,3 +175,20 @@ def test_sampler_block_edges_do_not_change_the_draws(seed, p, draws, designs, mo
     monkeypatch.setattr(kernels, "_WORKERS", 3)
     monkeypatch.setattr(kernels, "_SLICE", 1000)
     assert _sampler_digest(seed, p, draws, designs) == SAMPLER_DIGESTS[seed, p, draws]
+
+
+def test_more_workers_than_cores_with_fast_thread_switching(designs, monkeypatch):
+    # workers write disjoint slices of one output; a lost or misplaced slice
+    # under heavy interleaving would change the digest
+    monkeypatch.setattr(kernels, "_WORKERS", 8)
+    monkeypatch.setattr(kernels, "_SLICE", 4096)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        n = 8 * S + 3
+        for call in (f"normals-{n}", f"normals-{n}-moved", "inverse_gammas-1.0"):
+            assert _digest(42, call) == DIGESTS[42, call], call
+        # 512-row blocks of draws, transformed on the workers into one beta
+        assert _sampler_digest(42, 8, 131073, designs) == SAMPLER_DIGESTS[42, 8, 131073]
+    finally:
+        sys.setswitchinterval(interval)
