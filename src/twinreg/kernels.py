@@ -394,12 +394,12 @@ class RandomSource:
     ``_WORKERS`` workers (the CPUs in the affinity mask; a cgroup CPU quota is
     not seen) and at least ``_SERIAL_SLICES`` blocks each, so calls under
     twice that stay on the calling thread.  Each worker has two blocks of
-    scratch, three with a transform, so a threaded worker's scratch is at most
-    three eighths of its share of the output.  Each worker
-    derives its counters from the call's starting counter and its first row,
-    so no two workers share a counter and the output is the same bits for
-    any number of workers.  Only the calling thread reads or advances the
-    instance's counter.
+    scratch, three with a transform, so a threaded worker's scratch is at
+    most three eighths of its share of the output.  Each worker derives its
+    counters from the call's starting counter and its first row, so no two
+    workers share a counter and the output is the same bits for any number
+    of workers.  Only the calling thread reads or advances the instance's
+    counter.
 
     Instances are single-owner: concurrent use requires independent instances
     with distinct seeds.
