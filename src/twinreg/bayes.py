@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .kernels import RandomSource, median_of_sorted
+from .kernels import RandomSource, median_of_sorted, run_parallel, worker_count
 from .ols import DesignMatrix, OlsFit
 
 
@@ -64,7 +65,10 @@ class PriorSpec:
 
 @dataclass
 class PosteriorDraws:
-    """Joint posterior draws: beta is draws-by-p, sigma2 is length draws."""
+    """Joint posterior draws: beta is draws-by-p, sigma2 is length draws.
+
+    beta is column-major, so each parameter's draws are contiguous.
+    """
 
     beta: np.ndarray
     sigma2: np.ndarray
@@ -93,7 +97,7 @@ def default_prior(
     """Auto-scaled weakly-informative prior; coef_sd overrides every coefficient sd."""
     y = d.y
     p = d.p
-    sd_y = float(np.std(y, ddof=1))
+    sd_y = _sd(y, "response")
     mean = np.zeros(p)
     mean[0] = float(np.mean(y))
     if coef_sd is not None:
@@ -104,7 +108,7 @@ def default_prior(
         sds = np.empty(p)
         sds[0] = 2.5 * sd_y
         for j in range(1, p):
-            sd_x = float(np.std(d.X[:, j], ddof=1))
+            sd_x = _sd(d.X[:, j], f"regressor {d.names[j]!r}")
             if sd_x == 0.0:
                 raise DataError(
                     f"regressor {d.names[j]!r} is constant; cannot auto-scale its prior"
@@ -116,6 +120,15 @@ def default_prior(
         sigma2_shape=sigma2_shape,
         sigma2_scale=sigma2_scale,
     )
+
+
+def _sd(x: np.ndarray, what: str) -> float:
+    """Sample sd of x (n-1 denominator); a typed error if its squares overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(x, ddof=1))
+    if not math.isfinite(sd):
+        raise DataError(f"{what} too large: its variance overflows a double")
+    return sd
 
 
 def sample_posterior(
@@ -141,7 +154,8 @@ def sample_posterior(
     xbar[1:] = X[:, 1:].mean(axis=0)
     Z = X - xbar
 
-    lam0 = s2_ols / prior.coef_sd**2
+    with np.errstate(over="ignore"):  # an sd whose square overflows: precision 0, a flat prior
+        lam0 = s2_ols / prior.coef_sd**2
     mu0 = prior.coef_mean
     A = Z.T @ Z + np.diag(lam0)
     # A = L L' so A^-1 = U_inv U_inv' with U_inv = (L')^-1, a single p x p inverse
@@ -154,22 +168,28 @@ def sample_posterior(
         if prior.sigma2_scale is not None
         else prior.sigma2_shape * s2_ols
     )
-    b_n = b0 + 0.5 * (
-        float(y @ y) + float(mu0 * lam0 @ mu0) - float(mu_n @ (A @ mu_n))
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        b_n = b0 + 0.5 * (
+            float(y @ y) + float(mu0 * lam0 @ mu0) - float(mu_n @ (A @ mu_n))
+        )
+    if not math.isfinite(b_n):
+        raise DataError("response too large: the posterior scale overflows a double")
     if b_n <= 0.0:
         raise DataError(f"posterior scale collapsed to {b_n}; check the prior spec")
 
     sigma2 = rs.inverse_gammas(draws, a_n, b_n)
 
-    def to_draws(z, block, rows):
-        # draw-major: row k is mu_n + sqrt(sigma2_k) * U_inv z_k, i.e. L' w_k = z_k
-        np.matmul(z, U_inv.T, out=block)
+    def to_draws(z, dst, rows):
+        # row k is mu_n + sqrt(sigma2_k) * U_inv z_k, i.e. L' w_k = z_k; the
+        # block is worked in C order and then copied into the columns: with
+        # a column-major out=, matmul runs a transposed GEMM whose bits differ
+        block = z @ U_inv.T
         block *= np.sqrt(sigma2[rows])[:, None]
         block += mu_n
         block[:, 0] -= block[:, 1:] @ xbar[1:]
+        dst[...] = block
 
-    beta = np.empty((draws, p))
+    beta = np.empty((draws, p), order="F")
     rs.normal_rows(beta, to_draws)
     return PosteriorDraws(beta=beta, sigma2=sigma2, names=d.names)
 
@@ -260,26 +280,40 @@ def summarize_posterior(
     """Per-parameter median, credible interval, ROPE bounds, and PIROPE.
 
     Each column is sorted once; every number is then read from that copy.
+    Columns are sorted a round at a time, one column per worker thread
+    (``kernels.worker_count``: columns too short to give each thread its
+    slices are all sorted on the calling thread).  Each worker copies its
+    column into the one buffer it keeps for the whole call and sorts it
+    there.  The interval, median and PIROPE of a round's columns are read on
+    the calling thread, before the next round reuses the buffers.
     """
     rope = rope_bounds(loss)
     interval = hdi_interval if use_hdi else credible_interval
+    draws, p = post.beta.shape
+    bufs = [np.empty(draws) for _ in range(worker_count(p, draws))]
     out = []
-    for j, name in enumerate(post.names):
-        col = post.beta[:, j]
-        ranked = np.sort(col)
-        lo, hi = interval(ranked, level)
-        out.append(
-            PosteriorSummary(
-                name=name,
-                draws=col,
-                median=median_of_sorted(ranked),
-                ci_low=lo,
-                ci_high=hi,
-                ci_midpoint=0.5 * (lo + hi),
-                rope_low=rope[0],
-                rope_high=rope[1],
-                pirope=pirope(ranked, (lo, hi), rope),
+    for j0 in range(0, p, len(bufs)):
+        cols = range(j0, min(j0 + len(bufs), p))
+        run_parallel([partial(_sort_into, buf, post.beta[:, j]) for buf, j in zip(bufs, cols)])
+        for ranked, j in zip(bufs, cols):
+            lo, hi = interval(ranked, level)
+            out.append(
+                PosteriorSummary(
+                    name=post.names[j],
+                    draws=post.beta[:, j],
+                    median=median_of_sorted(ranked),
+                    ci_low=lo,
+                    ci_high=hi,
+                    ci_midpoint=0.5 * (lo + hi),
+                    rope_low=rope[0],
+                    rope_high=rope[1],
+                    pirope=pirope(ranked, (lo, hi), rope),
+                )
             )
-        )
-        del ranked  # free this column's copy before the next one is sorted
     return out
+
+
+def _sort_into(buf: np.ndarray, col: np.ndarray) -> None:
+    """Sort a copy of col in buf, the column buffer a worker reuses."""
+    np.copyto(buf, col)
+    buf.sort()

@@ -50,11 +50,15 @@ def summarize(frame: ModelFrame) -> list[SummaryRow]:
     """One SummaryRow per variable; sd uses the n-1 denominator."""
     if len(frame) == 0:
         raise DataError("cannot summarize an empty frame")
-    rows = [
-        _summary(name, col)
-        for name, col in zip(frame.names, frame.regressor_columns())
-    ]
-    rows.append(_summary("Loss", frame.loss))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = [
+            _summary(name, col)
+            for name, col in zip(frame.names, frame.regressor_columns())
+        ]
+        rows.append(_summary("Loss", frame.loss))
+    for r in rows:
+        if not (math.isfinite(r.mean) and math.isfinite(r.sd) and math.isfinite(r.median)):
+            raise DataError(f"{r.name} too large: its mean, sd or median overflows a double")
     return rows
 
 
@@ -79,16 +83,20 @@ def one_way_anova(
     ssb = 0.0
     ssw = 0.0
     garr = np.asarray(groups, dtype=object)
-    for key in keys:
-        sub = y[garr == key]
-        ssb += len(sub) * (sub.mean() - grand) ** 2
-        ssw += float(np.sum((sub - sub.mean()) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key in keys:
+            sub = y[garr == key]
+            ssb += len(sub) * (sub.mean() - grand) ** 2
+            ssw += float(np.sum((sub - sub.mean()) ** 2))
+    if not (math.isfinite(ssb) and math.isfinite(ssw)):
+        raise DataError(f"values too large: the {label} ANOVA sums of squares overflow a double")
     msb = ssb / (k - 1)
     msw = ssw / (n - k)
     if msw == 0.0:
         f = 0.0 if msb == 0.0 else math.inf
     else:
-        f = msb / msw
+        with np.errstate(over="ignore"):  # inf: the groups differ beyond a double's range
+            f = msb / msw
     return AnovaResult(
         group_label=label,
         k=k,

@@ -229,7 +229,18 @@ if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
 else:  # no affinity call on this platform
     _WORKERS = os.cpu_count() or 1
-_SERIAL_SLICES = 8  # each worker takes at least this many blocks of rows
+_SERIAL_SLICES = 8  # each worker takes at least this many slices of work
+
+
+def worker_count(pieces: int, size: int) -> int:
+    """Threads for pieces independent jobs of size outputs each.
+
+    At most ``_WORKERS`` and one per piece, and each thread takes at least
+    ``_SERIAL_SLICES`` slices of ``_SLICE`` outputs, so short calls stay on
+    the calling thread.
+    """
+    slices = pieces * -(-size // _SLICE)
+    return max(1, min(_WORKERS, pieces, slices // _SERIAL_SLICES))
 
 
 def run_parallel(jobs: list) -> None:
@@ -436,15 +447,17 @@ class RandomSource:
 
         Row k takes the next normals in order, k*p .. (k+1)*p - 1, and the
         counter advances by 2 * rows * p.  With transform, each block of rows
-        is made in scratch and transform(z, out[rows], rows) writes it, so a
-        caller can map normals to draws while the block is in cache.
+        is made in C-ordered scratch and transform(z, out[rows], rows) writes
+        it, so a caller can map normals to draws while the block is in cache,
+        and out may have any 2-D layout.  Without one the normals are made in
+        out itself, which must then be C-contiguous.
         """
-        if not out.flags.c_contiguous:
+        if transform is None and not out.flags.c_contiguous:
             raise ValueError("normal_rows needs a C-contiguous (rows, p) array")
         rows, p = out.shape
         step = max(1, _SLICE // p)
         blocks = -(-rows // step)
-        workers = max(1, min(_WORKERS, blocks // _SERIAL_SLICES))
+        workers = worker_count(blocks, step * p)
         cuts = [min(w * blocks // workers * step, rows) for w in range(workers)] + [rows]
         ramp = _ramp(min(rows, step + 1) * p, 2)
         run_parallel(

@@ -15,6 +15,7 @@ VIFs come from the diagonal and Breusch-Pagan back-substitutes against Q, R.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,16 +123,20 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
         raise DataError(f"response is constant ({float(y[0])!r}); there is nothing to explain")
 
     Q, R = _factor(X, d.names)
-    beta = _back_substitute(Q, R, y)
-    fitted = X @ beta
-    resid = y - fitted
-    rss = float(resid @ resid)
-    df_resid = n - p
-    sigma2 = rss / df_resid
-
     r_inv = np.linalg.solve(R, np.eye(p))
     xtx_inv_diag = np.sum(r_inv * r_inv, axis=1)
-    se = np.sqrt(sigma2 * xtx_inv_diag)
+    df_resid = n - p
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = _back_substitute(Q, R, y)
+        fitted = X @ beta
+        resid = y - fitted
+        rss = float(resid @ resid)
+        sst = float(np.sum((y - y.mean()) ** 2))
+        sigma2 = rss / df_resid
+        se = np.sqrt(sigma2 * xtx_inv_diag)
+    # a finite se needs a finite rss; sst is the largest sum of squares
+    if not (math.isfinite(sst) and np.isfinite(se).all()):
+        raise DataError("response too large: its sums of squares overflow a double")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = beta / se
@@ -139,7 +144,7 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
     pvals = np.array([student_t_sf2(float(tj), df_resid) for tj in t])
 
     # y is not constant, so sst > 0
-    r2 = 1.0 - rss / float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - rss / sst
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p)
 
     return OlsFit(
@@ -174,25 +179,32 @@ def diagnostics(d: DesignMatrix, fit: OlsFit, vif_cutoff: float = 10.0) -> Diagn
     sst = [float(np.sum((X[:, j] - X[:, j].mean()) ** 2)) for j in range(p)]
     vif = {d.names[j]: sst[j] * float(fit.xtx_inv_diag[j]) for j in range(1, p)}
 
+    # e^2 and e^4 can overflow where the fit's own sums did not
+    with np.errstate(over="ignore", invalid="ignore"):
+        e2 = e**2
+        resid2 = e2 - X @ _back_substitute(fit.q, fit.r, e2)
+        rss2 = float(resid2 @ resid2)
+        tss2 = float(np.sum((e2 - e2.mean()) ** 2))
+        ec = e - e.mean()
+        m2, m3, m4 = (float(np.mean(ec**k)) for k in (2, 3, 4))
+        diff2 = float(np.sum(np.diff(e) ** 2))
+    if not all(math.isfinite(v) for v in (rss2, tss2, m2, m3, m4, diff2)):
+        raise DataError("residuals too large: their squares or fourth powers overflow a double")
+
     # Breusch-Pagan LM: n times the R^2 of e^2 regressed on the full design
-    e2 = e**2
-    resid2 = e2 - X @ _back_substitute(fit.q, fit.r, e2)
-    tss2 = float(np.sum((e2 - e2.mean()) ** 2))
-    bp_stat = n * (1.0 - float(resid2 @ resid2) / tss2) if tss2 > 0.0 else 0.0
+    bp_stat = n * (1.0 - rss2 / tss2) if tss2 > 0.0 else 0.0
     bp_p = chi2_sf(bp_stat, p - 1)
 
-    ec = e - e.mean()
-    m2 = float(np.mean(ec**2))
     if m2 > 0.0:
-        skew = float(np.mean(ec**3)) / m2**1.5
-        kurt = float(np.mean(ec**4)) / m2**2
+        skew = m3 / m2**1.5
+        kurt = m4 / m2**2
     else:
         skew, kurt = 0.0, 3.0
     jb_stat = n / 6.0 * (skew**2 + 0.25 * (kurt - 3.0) ** 2)
     jb_p = chi2_sf(jb_stat, 2.0)
 
     denom = float(e @ e)
-    dw = float(np.sum(np.diff(e) ** 2)) / denom if denom > 0.0 else 0.0
+    dw = diff2 / denom if denom > 0.0 else 0.0
 
     advisories = []
     worst = max(vif, key=lambda k: vif[k])

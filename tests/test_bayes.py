@@ -60,6 +60,15 @@ class TestDefaultPrior:
         with pytest.raises(DataError):
             default_prior(make_design(), coef_sd=0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("column", [0, 2])  # the response, a regressor
+    def test_overflowing_variance_is_data_error(self, column):
+        d = make_design()
+        data = d.y if column == 0 else d.X[:, column]
+        data[:3] = 1e300
+        with pytest.raises(DataError, match="too large"):
+            default_prior(d)
+
     def test_validate_rejects_bad_shapes(self):
         d = make_design()
         prior = default_prior(d)
@@ -328,6 +337,67 @@ class TestThreadUse:
         assert set(seen) == {"credible_interval", "hdi_interval", "pirope", "_raw_block"}
         assert all(ids == {threading.get_ident()} for ids in seen.values()), seen
         assert started  # the threaded path did run
+
+
+class TestThreadedSummary:
+    """Column sorts spread over worker threads give the serial summaries."""
+
+    S = kernels._SLICE
+
+    @staticmethod
+    def draws(n, p=8):
+        rng = np.random.default_rng(n)
+        beta = np.asfortranarray(rng.normal(size=(n, p)) * np.arange(1.0, p + 1.0))
+        beta[:, 1] = np.round(beta[:, 1])  # long runs of ties
+        names = tuple(f"b{j}" for j in range(p))
+        return bayes.PosteriorDraws(beta=beta, sigma2=np.ones(n), names=names), rng.normal(size=37)
+
+    @pytest.mark.parametrize("use_hdi", [False, True])
+    @pytest.mark.parametrize("n", [S, S + 1, 2 * S, 2 * S + 1])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_fields_match_serial_sorts(self, workers, n, use_hdi, monkeypatch):
+        # 8 columns of n draws take 8 * ceil(n / S) slices, and a worker
+        # takes at least 8: one thread up to S draws, two up to 2S, then three
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        post, loss = self.draws(n)
+        got = summarize_posterior(post, loss, level=0.89, use_hdi=use_hdi)
+        used = min(workers, -(-n // self.S))
+        assert len(started) == 8 - -(-8 // used)  # every round but its first column
+        interval = hdi_interval if use_hdi else credible_interval
+        rope = rope_bounds(loss)
+        for j, s in enumerate(got):
+            ranked = np.sort(post.beta[:, j])
+            lo, hi = interval(ranked, 0.89)
+            assert s.name == post.names[j]
+            assert np.shares_memory(s.draws, post.beta)
+            assert np.array_equal(s.draws, post.beta[:, j])
+            assert s.median == kernels.median_of_sorted(ranked)
+            assert (s.ci_low, s.ci_high, s.ci_midpoint) == (lo, hi, 0.5 * (lo + hi))
+            assert (s.rope_low, s.rope_high) == rope
+            assert s.pirope == pirope(ranked, (lo, hi), rope)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_each_worker_holds_one_column(self, workers, monkeypatch):
+        # a column buffer per worker, plus the ascending check's n-byte mask
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        post, loss = self.draws(200_000)
+        column = post.beta[:, 0].nbytes
+        for use_hdi in (False, True):
+            tracemalloc.start()
+            try:
+                summarize_posterior(post, loss, use_hdi=use_hdi)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= (workers + 0.25) * column
 
 
 def mask_pirope(x, ci, rope):

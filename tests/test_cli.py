@@ -256,6 +256,34 @@ class TestFailureExitCodes:
         assert err.startswith("data error:")
         assert "constant" in err
 
+    # each failure must be the one typed line, not numpy's RuntimeWarnings first
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "case, command",
+        [("five-1e200", c) for c in ("describe", "anova", "ols", "bayes", "verdict", "report")]
+        + [("one-1e100", "ols"), ("one-1e154", "bayes"), ("offset-1e154", "bayes")],
+    )
+    def test_overflowing_loss_is_one_data_error_line(self, run, tmp_path, case, command):
+        loss = {
+            # the sums of squares and moments overflow
+            "five-1e200": lambda i, v: "1e200" if i < 5 else v,
+            # the fit is finite; its residuals' fourth powers are not
+            "one-1e100": lambda i, v: "1e100" if i == 0 else v,
+            # rss is finite; the standard errors are not
+            "one-1e154": lambda i, v: "1e154" if i == 0 else v,
+            # a large mean with a small spread: y'y overflows in the posterior scale
+            "offset-1e154": lambda i, v: repr(1e154 * (1 + 0.001 * i)),
+        }[case]
+        lines = Path(FIXTURE).read_text().splitlines()
+        rows = [",".join([f[0], loss(i, f[1]), *f[2:]])
+                for i, f in enumerate(ln.split(",") for ln in lines[1:])]
+        code, out, err = run(command, "--input", small_csv(tmp_path, rows))
+        assert code == 1
+        assert out == b""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error:")
+        assert "too large" in err
+
     def test_bad_sigma2_scale_is_data_error(self, run):
         code, _, err = run("bayes", "--input", FIXTURE, "--sigma2-scale", "-1")
         assert code == 1

@@ -364,6 +364,10 @@ class TestRandomSource:
         assert a._count == b._count == 2 * out.size
         with pytest.raises(ValueError):
             a.normal_rows(np.empty((7, 100)).T)
+        # with a transform the rows are written through it, in any layout
+        fortran = np.empty(out.shape, order="F")
+        a.normal_rows(fortran, lambda z, dst, rows: np.copyto(dst, z))
+        assert np.array_equal(fortran.reshape(-1), b.normals(out.size))
 
     @pytest.mark.parametrize("shape", [19.5, 0.3])
     def test_inverse_gammas_allocate_few_draw_sized_buffers(self, shape):

@@ -17,6 +17,7 @@ import pytest
 
 import twinreg as T
 from twinreg import kernels
+from twinreg.cli import main
 
 S = 1 << 15  # _SLICE: sizes on both sides of a slice boundary
 SIZES = (1, S, S + 1, 8 * S + 3, 1_000_003)
@@ -175,6 +176,29 @@ def test_sampler_block_edges_do_not_change_the_draws(seed, p, draws, designs, mo
     monkeypatch.setattr(kernels, "_WORKERS", 3)
     monkeypatch.setattr(kernels, "_SLICE", 1000)
     assert _sampler_digest(seed, p, draws, designs) == SAMPLER_DIGESTS[seed, p, draws]
+
+
+# (seed, --hdi): sha256 of `bayes --format json --draws 1000000` stdout on the
+# fixture, taken before the draws were stored column-major and the column
+# sorts were spread over threads
+BAYES_JSON_DIGESTS = {
+    (1, False): "09c2b644ada31958e63100732c39238834c5cad341e96c23a4e067a5401ac77d",
+    (1, True): "9dbbf8fb1fe3cbf3a2a81f024efeb5abd491ad6a34651ed6715e7fd6652096bc",
+    (2, False): "7d13b6a83b37850688c34066b364add8169d99b6691829cdb619c4ee1989e1d6",
+    (2, True): "3ec36c7bcf4f00e97e07c8bd7cb254bba675796727e0d259dfce81ab7d0a5c3f",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("seed, hdi", list(BAYES_JSON_DIGESTS))
+def test_million_draw_bayes_json(seed, hdi, workers, monkeypatch, capfdbinary):
+    # 3 workers: three threads make the draws and sort 3, 3 and 2 columns a round
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    argv = ["bayes", "--input", str(FIXTURE), "--format", "json", "--draws", "1000000"]
+    code = main([*argv, "--seed", str(seed), *(["--hdi"] if hdi else [])])
+    cap = capfdbinary.readouterr()
+    assert (code, cap.err) == (0, b"")
+    assert hashlib.sha256(cap.out).hexdigest() == BAYES_JSON_DIGESTS[seed, hdi]
 
 
 def test_more_workers_than_cores_with_fast_thread_switching(designs, monkeypatch):
