@@ -50,53 +50,3 @@ from .kernels import (
 )
 from .ols import DesignMatrix, Diagnostics, OlsFit, build_design, diagnostics, fit_ols
 from .report import ReportSections, Verdict, combined_verdict, render_report
-
-__all__ = [
-    "AnovaResult",
-    "ConsistencyError",
-    "ConvergenceError",
-    "DataError",
-    "DesignMatrix",
-    "Diagnostics",
-    "ModelFrame",
-    "Observation",
-    "OlsFit",
-    "ParseError",
-    "PosteriorDraws",
-    "PosteriorSummary",
-    "PriorSpec",
-    "RandomSource",
-    "ReportSections",
-    "SingularDesignError",
-    "SummaryRow",
-    "TwinregError",
-    "Verdict",
-    "__version__",
-    "aggregate_prior_month",
-    "apply_transforms",
-    "build_design",
-    "chi2_sf",
-    "combined_verdict",
-    "credible_interval",
-    "default_prior",
-    "diagnostics",
-    "encode_time",
-    "f_sf",
-    "fit_ols",
-    "hdi_interval",
-    "ln_gamma",
-    "load_csv",
-    "anova_by_month",
-    "anova_by_year",
-    "one_way_anova",
-    "parse_csv",
-    "parse_daily_csv",
-    "pirope",
-    "reg_inc_beta",
-    "render_report",
-    "rope_bounds",
-    "sample_posterior",
-    "student_t_sf2",
-    "summarize",
-    "summarize_posterior",
-]

@@ -20,7 +20,7 @@ import datetime
 import io
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -92,11 +92,40 @@ def _as_text_lines(data: bytes | str | IO[bytes]) -> io.StringIO:
         raise ParseError(f"not UTF-8: byte 0x{bad:02x}", line=line) from None
 
 
-def _parse_quarter_date(text: str, line: int) -> datetime.date:
+def _records(
+    data: bytes | str | IO[bytes], columns: Sequence[str]
+) -> Iterator[tuple[int, dict[str, str]]]:
+    """Each non-blank row as (1-based line, {column: stripped cell}).
+
+    The header must name exactly ``columns``, in any order, and every row
+    must have one field per column.
+    """
+    reader = csv.reader(_as_text_lines(data))
     try:
-        d = datetime.date.fromisoformat(text.strip())
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty input: missing header row", line=1) from None
+    names = [h.strip() for h in header]
+    if sorted(names) != sorted(columns):
+        raise ParseError(f"header must name the columns {', '.join(columns)}; got {names}", line=1)
+    for row in reader:
+        line = reader.line_num
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(names):
+            raise ParseError(f"expected {len(names)} fields, got {len(row)}", line=line)
+        yield line, {name: cell.strip() for name, cell in zip(names, row)}
+
+
+def _parse_date(text: str, line: int) -> datetime.date:
+    try:
+        return datetime.date.fromisoformat(text)
     except ValueError:
         raise ParseError(f"malformed date {text!r}", line=line) from None
+
+
+def _parse_quarter_date(text: str, line: int) -> datetime.date:
+    d = _parse_date(text, line)
     if d.day != 1 or d.month not in QUARTER_MONTHS:
         raise ParseError(
             f"non-quarterly date {text!r} (expected the first of Jan/Apr/Jul/Oct)",
@@ -122,30 +151,9 @@ def parse_csv(data: bytes | str | IO[bytes]) -> list[Observation]:
     fields, duplicate dates, and non-quarterly dates raise ParseError with
     the offending 1-based line number.
     """
-    reader = csv.reader(_as_text_lines(data))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header row", line=1) from None
-    names = [h.strip() for h in header]
-    if sorted(names) != sorted(CSV_COLUMNS):
-        raise ParseError(
-            f"header must name the columns {', '.join(CSV_COLUMNS)}; got {names}",
-            line=1,
-        )
-    idx = {name: names.index(name) for name in CSV_COLUMNS}
-
     out: list[Observation] = []
     seen: dict[datetime.date, int] = {}
-    for row in reader:
-        line = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(names):
-            raise ParseError(
-                f"expected {len(names)} fields, got {len(row)}", line=line
-            )
-        cells = {name: row[idx[name]].strip() for name in CSV_COLUMNS}
+    for line, cells in _records(data, CSV_COLUMNS):
         if any(cell == "" for cell in cells.values()):
             continue  # the stated omission rule: incomplete rows are dropped
         date = _parse_quarter_date(cells["date"], line)
@@ -248,27 +256,9 @@ def aggregate_prior_month(
 
 def parse_daily_csv(data: bytes | str | IO[bytes]) -> list[tuple[datetime.date, float | None]]:
     """Parse the daily-series helper input (header ``date,value``)."""
-    reader = csv.reader(_as_text_lines(data))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header row", line=1) from None
-    names = [h.strip() for h in header]
-    if sorted(names) != ["date", "value"]:
-        raise ParseError(f"header must name the columns date, value; got {names}", line=1)
-    di, vi = names.index("date"), names.index("value")
     out: list[tuple[datetime.date, float | None]] = []
-    for row in reader:
-        line = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != 2:
-            raise ParseError(f"expected 2 fields, got {len(row)}", line=line)
-        try:
-            date = datetime.date.fromisoformat(row[di].strip())
-        except ValueError:
-            raise ParseError(f"malformed date {row[di]!r}", line=line) from None
-        text = row[vi].strip()
-        value = None if text == "" else _parse_number(text, "value", line)
-        out.append((date, value))
+    for line, cells in _records(data, ("date", "value")):
+        date = _parse_date(cells["date"], line)
+        text = cells["value"]
+        out.append((date, None if text == "" else _parse_number(text, "value", line)))
     return out

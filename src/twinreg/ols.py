@@ -88,11 +88,20 @@ def build_design(frame: ModelFrame) -> DesignMatrix:
 
 
 def _factor(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR factors of X, with a rank check on R's diagonal."""
+    """Thin QR factors of X, with a rank check on R's diagonal.
+
+    Each |R_jj| is compared with column j's own norm, so one column's scale
+    cannot make another look dependent on the preceding ones.
+    """
+    with np.errstate(over="ignore"):
+        sumsq = np.einsum("ij,ij->j", X, X)
+    over = np.nonzero(~np.isfinite(sumsq))[0]
+    if over.size:
+        raise DataError(
+            f"regressor {names[over[0]]!r} too large: its sum of squares overflows a double"
+        )
     Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    cutoff = _RANK_TOL * diag.max()
-    bad = np.nonzero(diag < cutoff)[0]
+    bad = np.nonzero(np.abs(np.diag(R)) <= _RANK_TOL * np.sqrt(sumsq))[0]
     if bad.size:
         j = int(bad[0])
         raise SingularDesignError(

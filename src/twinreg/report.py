@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .bayes import PosteriorSummary
 from .describe import AnovaResult, SummaryRow
-from .errors import ConsistencyError, DataError
+from .errors import ConsistencyError
 from .ols import Diagnostics, OlsFit
 
 COMBINED_SIGNIFICANT = "significant"
@@ -90,193 +91,117 @@ class ReportSections:
     bayes_level: float = 0.89
     verdicts: list[Verdict] | None = None
 
-    def empty(self) -> bool:
-        return (
-            self.descriptive is None
-            and self.anova is None
-            and self.ols_fit is None
-            and self.bayes is None
-            and self.verdicts is None
-        )
-
 
 def _sig3(v: float) -> str:
     return f"{v:.3g}"
-
-
-def _pct_ci(level: float) -> str:
-    return f"{100.0 * level:g}% CI"
 
 
 def _interval2(lo: float, hi: float) -> str:
     return f"[{lo:.2f}, {hi:.2f}]"
 
 
-def _text_report(s: ReportSections) -> str:
-    lines: list[str] = []
+def _sections(s: ReportSections) -> Iterator[tuple[str, object, Iterable[str]]]:
+    """Each present section, in report order, as (JSON key, JSON value, text lines).
+
+    The table rows of the text are formatted only when the lines are read.
+    """
     if s.descriptive is not None:
-        lines.append("== Descriptive Statistics ==")
-        lines.append("variable | mean | sd | median | min | max")
-        for r in s.descriptive:
-            lines.append(
+        yield "descriptive", [vars(r) for r in s.descriptive], chain(
+            ["== Descriptive Statistics ==", "variable | mean | sd | median | min | max"],
+            (
                 f"{r.name} | {_sig3(r.mean)} | {_sig3(r.sd)} | "
                 f"{_sig3(r.median)} | {_sig3(r.min)} | {_sig3(r.max)}"
-            )
-        lines.append("")
-    if s.anova is not None:
-        lines.append("== One-way ANOVA (Loss) ==")
-        lines.append("group | F | df1 | df2 | p")
-        for a in s.anova:
-            lines.append(
-                f"{a.group_label} | {_sig3(a.f_stat)} | {a.df_between} | "
-                f"{a.df_within} | {a.p_value:.2e}"
-            )
-        lines.append("")
-    if s.ols_fit is not None:
-        f = s.ols_fit
-        lines.append("== OLS Regression ==")
-        lines.append("term | estimate | std.error | statistic | p.value")
-        for j, name in enumerate(f.names):
-            lines.append(
-                f"{name} | {_sig3(f.estimates[j])} | {_sig3(f.std_errors[j])} | "
-                f"{_sig3(f.t_stats[j])} | {f.p_values[j]:.2e}"
-            )
-        lines.append(
-            f"residual variance: {_sig3(f.sigma2_hat)} | adjusted R^2: {_sig3(f.adj_r2)}"
+                for r in s.descriptive
+            ),
         )
-        if s.ols_diag is not None:
-            d = s.ols_diag
-            lines.append(
-                f"diagnostics: BP {_sig3(d.bp_stat)} (p {d.bp_p:.2e}) | "
-                f"JB {_sig3(d.jb_stat)} (p {d.jb_p:.2e}) | DW {_sig3(d.dw_stat)} | "
-                f"mean resid {d.mean_resid:.2e}"
-            )
-            vifs = ", ".join(f"{k} {_sig3(v)}" for k, v in d.vif.items())
-            lines.append(f"VIF: {vifs}")
-            for msg in d.advisories:
-                lines.append(f"advisory: {msg}")
-        lines.append("")
-    if s.bayes is not None:
-        lines.append(f"== Bayesian Posterior ({_pct_ci(s.bayes_level)}) ==")
-        lines.append(f"Parameter | Median | {_pct_ci(s.bayes_level)} | ROPE | % in ROPE")
-        for b in s.bayes:
-            lines.append(
-                f"{b.name} | {b.median:.2f} | {_interval2(b.ci_low, b.ci_high)} | "
-                f"{_interval2(b.rope_low, b.rope_high)} | {b.pirope:.2f}"
-            )
-        lines.append("")
-    if s.verdicts is not None:
-        lines.append("== Combined Verdict ==")
-        lines.append("term | p.value | % in ROPE | freq | bayes | combined")
-        for v in s.verdicts:
-            combined = v.combined + (" (no-association)" if v.no_association else "")
-            lines.append(
-                f"{v.name} | {v.p_value:.2e} | {v.pirope:.2f} | "
-                f"{'yes' if v.freq_significant else 'no'} | "
-                f"{'yes' if v.bayes_significant else 'no'} | {combined}"
-            )
-        sig = [v.name for v in s.verdicts if v.combined == COMBINED_SIGNIFICANT]
-        lines.append(f"significant: {', '.join(sig) if sig else '(none)'}")
-        lines.append("")
-    return "\n".join(lines)
-
-
-def _json_report(s: ReportSections) -> str:
-    doc: dict = {}
-    if s.descriptive is not None:
-        doc["descriptive"] = [
-            {
-                "name": r.name,
-                "mean": r.mean,
-                "sd": r.sd,
-                "median": r.median,
-                "min": r.min,
-                "max": r.max,
-            }
-            for r in s.descriptive
-        ]
     if s.anova is not None:
-        doc["anova"] = [
-            {
-                "group": a.group_label,
-                "k": a.k,
-                "n": a.n,
-                "f": a.f_stat,
-                "df1": a.df_between,
-                "df2": a.df_within,
-                "p": a.p_value,
-            }
-            for a in s.anova
-        ]
+        # AnovaResult's fields, in order, under their JSON keys
+        keys = ("group", "k", "n", "f", "df1", "df2", "p")
+        rows = [dict(zip(keys, vars(a).values())) for a in s.anova]
+        yield "anova", rows, chain(
+            ["== One-way ANOVA (Loss) ==", "group | F | df1 | df2 | p"],
+            (
+                f"{a['group']} | {_sig3(a['f'])} | {a['df1']} | {a['df2']} | {a['p']:.2e}"
+                for a in rows
+            ),
+        )
     if s.ols_fit is not None:
         f = s.ols_fit
+        keys = ("term", "estimate", "std_error", "statistic", "p_value")
+        terms = [
+            dict(zip(keys, (name, *map(float, values))))
+            for name, *values in zip(f.names, f.estimates, f.std_errors, f.t_stats, f.p_values)
+        ]
         ols: dict = {
-            "terms": [
-                {
-                    "term": name,
-                    "estimate": float(f.estimates[j]),
-                    "std_error": float(f.std_errors[j]),
-                    "statistic": float(f.t_stats[j]),
-                    "p_value": float(f.p_values[j]),
-                }
-                for j, name in enumerate(f.names)
-            ],
+            "terms": terms,
             "sigma2_hat": f.sigma2_hat,
             "r2": f.r2,
             "adj_r2": f.adj_r2,
             "df_resid": f.df_resid,
         }
+        diag: list[str] = []
         if s.ols_diag is not None:
             d = s.ols_diag
-            ols["diagnostics"] = {
-                "vif": dict(d.vif),
-                "bp_stat": d.bp_stat,
-                "bp_p": d.bp_p,
-                "jb_stat": d.jb_stat,
-                "jb_p": d.jb_p,
-                "dw_stat": d.dw_stat,
-                "mean_resid": d.mean_resid,
-                "advisories": list(d.advisories),
-            }
-        doc["ols"] = ols
+            ols["diagnostics"] = vars(d)
+            vifs = ", ".join(f"{k} {_sig3(v)}" for k, v in d.vif.items())
+            diag = [
+                f"diagnostics: BP {_sig3(d.bp_stat)} (p {d.bp_p:.2e}) | "
+                f"JB {_sig3(d.jb_stat)} (p {d.jb_p:.2e}) | DW {_sig3(d.dw_stat)} | "
+                f"mean resid {d.mean_resid:.2e}",
+                f"VIF: {vifs}",
+                *(f"advisory: {msg}" for msg in d.advisories),
+            ]
+        yield "ols", ols, chain(
+            ["== OLS Regression ==", "term | estimate | std.error | statistic | p.value"],
+            (
+                f"{t['term']} | {_sig3(t['estimate'])} | {_sig3(t['std_error'])} | "
+                f"{_sig3(t['statistic'])} | {t['p_value']:.2e}"
+                for t in terms
+            ),
+            [f"residual variance: {_sig3(f.sigma2_hat)} | adjusted R^2: {_sig3(f.adj_r2)}"],
+            diag,
+        )
     if s.bayes is not None:
-        doc["bayes"] = {
+        keys = ("name", "median", "ci_low", "ci_high", "ci_midpoint", "pirope")
+        bayes = {
             "level": s.bayes_level,
             "rope": [s.bayes[0].rope_low, s.bayes[0].rope_high] if s.bayes else None,
-            "parameters": [
-                {
-                    "name": b.name,
-                    "median": b.median,
-                    "ci_low": b.ci_low,
-                    "ci_high": b.ci_high,
-                    "ci_midpoint": b.ci_midpoint,
-                    "pirope": b.pirope,
-                }
-                for b in s.bayes
-            ],
+            "parameters": [{k: getattr(b, k) for k in keys} for b in s.bayes],
         }
+        ci = f"{100.0 * s.bayes_level:g}% CI"
+        yield "bayes", bayes, chain(
+            [f"== Bayesian Posterior ({ci}) ==", f"Parameter | Median | {ci} | ROPE | % in ROPE"],
+            (
+                f"{b.name} | {b.median:.2f} | {_interval2(b.ci_low, b.ci_high)} | "
+                f"{_interval2(b.rope_low, b.rope_high)} | {b.pirope:.2f}"
+                for b in s.bayes
+            ),
+        )
     if s.verdicts is not None:
-        doc["verdict"] = [
-            {
-                "term": v.name,
-                "p_value": v.p_value,
-                "pirope": v.pirope,
-                "freq_significant": v.freq_significant,
-                "bayes_significant": v.bayes_significant,
-                "combined": v.combined,
-                "no_association": v.no_association,
-            }
-            for v in s.verdicts
-        ]
-    return json.dumps(doc, indent=2) + "\n"
+        rows = [{"term" if k == "name" else k: x for k, x in vars(v).items()} for v in s.verdicts]
+        sig = [v.name for v in s.verdicts if v.combined == COMBINED_SIGNIFICANT]
+        yield "verdict", rows, chain(
+            ["== Combined Verdict ==", "term | p.value | % in ROPE | freq | bayes | combined"],
+            (
+                f"{v.name} | {v.p_value:.2e} | {v.pirope:.2f} | "
+                f"{'yes' if v.freq_significant else 'no'} | "
+                f"{'yes' if v.bayes_significant else 'no'} | {v.combined}"
+                + (" (no-association)" if v.no_association else "")
+                for v in s.verdicts
+            ),
+            [f"significant: {', '.join(sig) if sig else '(none)'}"],
+        )
 
 
 def render_report(sections: ReportSections, format: str = "text") -> bytes:
-    """Render the present sections as UTF-8 text or a single JSON document."""
-    if sections.empty():
-        raise DataError("nothing to render: no result section present")
+    """Render the present sections as UTF-8 text or a single JSON document.
+
+    With no section present, the text is empty and the JSON document is ``{}``.
+    """
+    parts = _sections(sections)
     if format == "text":
-        return _text_report(sections).encode("utf-8")
+        return "\n".join(ln for *_, lines in parts for ln in (*lines, "")).encode("utf-8")
     if format == "json":
-        return _json_report(sections).encode("utf-8")
+        doc = {key: value for key, value, _ in parts}
+        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {format!r} (expected 'text' or 'json')")

@@ -129,6 +129,25 @@ class TestAggregate:
         doc = json.loads(out)
         assert doc == {"quarter_start": "2011-04-01", "prior_month_mean": 3.0}
 
+    @pytest.mark.parametrize(
+        "fmt, want",
+        [
+            ("text", b"3.25\n"),
+            ("json", b'{\n  "quarter_start": "2011-04-01",\n  "prior_month_mean": 3.25\n}\n'),
+        ],
+    )
+    def test_stdout_is_pinned(self, run, tmp_path, fmt, want):
+        # columns swapped, a blank line, empty and blank values, padded cells
+        path = tmp_path / "daily.csv"
+        path.write_text(
+            "value,date\n2.0,2011-03-01\n\n,2011-03-15\n  ,2011-03-20\n"
+            "4.5, 2011-03-31 \n9.0,2011-04-02\n0.1,2011-02-28\n"
+        )
+        code, out, err = run(
+            "aggregate", "--input", str(path), "--quarter-start", "2011-04-01", "--format", fmt
+        )
+        assert (code, out, err) == (0, want, "")
+
     def test_malformed_quarter_start(self, run, tmp_path):
         code, _, err = run(
             "aggregate", "--input", self.daily_csv(tmp_path), "--quarter-start", "soon"
@@ -283,6 +302,34 @@ class TestFailureExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("data error:")
         assert "too large" in err
+
+    @staticmethod
+    def huge_population_csv(tmp_path, total_pop):
+        lines = Path(FIXTURE).read_text().splitlines()
+        assert lines[0].split(",")[2] == "total_pop"
+        fields = lines[1].split(",")
+        fields[2] = total_pop
+        return small_csv(tmp_path, [",".join(fields), *lines[2:]])
+
+    # one huge column must not make the intercept look dependent on it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["ols", "verdict", "report"])
+    def test_one_huge_population_still_fits(self, run, tmp_path, command):
+        code, out, err = run(command, "--input", self.huge_population_csv(tmp_path, "1e160"))
+        assert (code, err) == (0, "")
+        assert b"AdjPop" in out
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["ols", "verdict", "report"])
+    @pytest.mark.parametrize("total_pop", ["1e200", "1e300", "1e308"])
+    def test_overflowing_population_is_one_data_error_line(
+        self, run, tmp_path, command, total_pop
+    ):
+        code, out, err = run(command, "--input", self.huge_population_csv(tmp_path, total_pop))
+        assert code == 1
+        assert out == b""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: regressor 'AdjPop' too large:")
 
     def test_bad_sigma2_scale_is_data_error(self, run):
         code, _, err = run("bayes", "--input", FIXTURE, "--sigma2-scale", "-1")

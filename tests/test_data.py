@@ -225,3 +225,57 @@ class TestParseDailyCsv:
     def test_bad_number_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_daily_csv(b"date,value\n2011-03-01,1\n2011-03-02,zz\n")
+
+
+# both parsers read through one record reader; each case runs against each
+PARSERS = {
+    "quarterly": (parse_csv, HEADER, row("2011-04-01")),
+    "daily": (parse_daily_csv, "date,value", "2011-03-01,1.5"),
+}
+
+
+@pytest.fixture(params=sorted(PARSERS))
+def reader(request):
+    return PARSERS[request.param]
+
+
+class TestRecordReader:
+    def test_empty_input(self, reader):
+        parse, _, _ = reader
+        with pytest.raises(ParseError, match="^line 1: empty input"):
+            parse(b"")
+
+    def test_wrong_header(self, reader):
+        parse, header, good = reader
+        with pytest.raises(ParseError, match="^line 1: header must name the columns"):
+            parse(f"{header.replace('date', 'day')}\n{good}\n".encode())
+
+    def test_wrong_field_count_names_its_line(self, reader):
+        parse, header, good = reader
+        n = header.count(",") + 1
+        with pytest.raises(ParseError, match=f"^line 3: expected {n} fields, got {n + 1}$"):
+            parse(f"{header}\n{good}\n{good},1\n".encode())
+
+    def test_blank_rows_are_skipped(self, reader):
+        parse, header, good = reader
+        blank = ",".join([" "] * (header.count(",") + 1))
+        text = f"{header}\n\n{blank}\n{good}\n\n".encode()
+        assert parse(text) == parse(f"{header}\n{good}\n".encode())
+        assert len(parse(text)) == 1
+
+    def test_byte_order_mark_is_accepted(self, reader):
+        parse, header, good = reader
+        text = f"{header}\n{good}\n".encode()
+        assert parse(b"\xef\xbb\xbf" + text) == parse(text)
+
+    def test_non_utf8_byte_names_its_line(self, reader):
+        parse, header, good = reader
+        with pytest.raises(ParseError, match="^line 3: not UTF-8: byte 0xff$"):
+            parse(f"{header}\n{good}\n".encode() + b"\xff" + good.encode() + b"\n")
+
+    def test_malformed_date_quotes_the_stripped_cell(self, reader):
+        parse, header, good = reader
+        cells = good.split(",")
+        cells[0] = " 2011-13-01 "
+        with pytest.raises(ParseError, match="^line 2: malformed date '2011-13-01'$"):
+            parse(f"{header}\n{','.join(cells)}\n".encode())

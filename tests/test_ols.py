@@ -154,6 +154,30 @@ class TestFitOls:
         with pytest.raises(SingularDesignError, match="b"):
             fit_ols(d)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_rank_check_is_relative_to_each_column(self, scale):
+        # a tiny or huge column is neither dependent nor makes the others look so
+        d = random_design(np.random.default_rng(11), 30, 4)
+        scaled = d.X.copy()
+        scaled[:, 2] *= scale
+        fit_b = fit_ols(DesignMatrix(X=scaled, y=d.y, names=d.names))
+        assert np.allclose(fit_b.t_stats, fit_ols(d).t_stats, rtol=1e-9)
+
+    def test_zero_column_raises_named_error(self):
+        d = random_design(np.random.default_rng(12), 20, 4)
+        X = d.X.copy()
+        X[:, 2] = 0.0
+        with pytest.raises(SingularDesignError, match="x2"):
+            fit_ols(DesignMatrix(X=X, y=d.y, names=d.names))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_column_is_named_data_error(self):
+        d = random_design(np.random.default_rng(13), 20, 4)
+        X = d.X.copy()
+        X[0, 3] = 1e200
+        with pytest.raises(DataError, match="^regressor 'x3' too large"):
+            fit_ols(DesignMatrix(X=X, y=d.y, names=d.names))
+
     def test_nonfinite_input_rejected(self):
         rng = np.random.default_rng(9)
         d = random_design(rng, 15, 3)

@@ -1,5 +1,6 @@
 """Tests for the combined verdict logic and both report renderers."""
 
+import itertools
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from twinreg import (
     AnovaResult,
     ConsistencyError,
-    DataError,
+    Diagnostics,
     OlsFit,
     PosteriorSummary,
     ReportSections,
@@ -194,10 +195,50 @@ class TestJsonReport:
 
 
 class TestRenderErrors:
-    def test_empty_sections_rejected(self):
-        with pytest.raises(DataError):
-            render_report(ReportSections())
-
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render_report(full_sections(), "yaml")
+
+
+class TestSectionWalk:
+    # ReportSections field, its JSON key and its text title, in report order
+    SECTIONS = (
+        ("descriptive", "descriptive", "== Descriptive Statistics =="),
+        ("anova", "anova", "== One-way ANOVA (Loss) =="),
+        ("ols_fit", "ols", "== OLS Regression =="),
+        ("bayes", "bayes", "== Bayesian Posterior (89% CI) =="),
+        ("verdicts", "verdict", "== Combined Verdict =="),
+    )
+
+    def every_subset(self):
+        full = full_sections()
+        diag = Diagnostics(
+            vif={"a": 1.5}, bp_stat=2.0, bp_p=0.2, jb_stat=1.0, jb_p=0.6,
+            dw_stat=1.9, mean_resid=1e-17, advisories=("multicollinearity: made up",),
+        )
+        fields = [field for field, _, _ in self.SECTIONS]
+        for k in range(len(fields) + 1):
+            for chosen in itertools.combinations(fields, k):
+                present = {f: getattr(full, f) for f in chosen}
+                yield ReportSections(**present)
+                if "ols_fit" in chosen:  # diagnostics only ever come with a fit
+                    yield ReportSections(**present, ols_diag=diag)
+
+    def test_formats_name_the_same_sections_in_the_same_order(self):
+        subsets = list(self.every_subset())
+        assert len(subsets) == 48
+        for s in subsets:
+            present = [(key, title) for field, key, title in self.SECTIONS
+                       if getattr(s, field) is not None]
+            doc = json.loads(render_report(s, "json"))
+            text = render_report(s, "text").decode()
+            assert list(doc) == [key for key, _ in present], s
+            titles = [ln for ln in text.splitlines() if ln.startswith("== ")]
+            assert titles == [title for _, title in present], s
+            has_diag = s.ols_diag is not None
+            assert ("diagnostics" in doc.get("ols", {})) == has_diag, s
+            assert ("\ndiagnostics: BP " in text) == has_diag, s
+
+    def test_no_sections_render_nothing(self):
+        assert render_report(ReportSections(), "text") == b""
+        assert render_report(ReportSections(), "json") == b"{}\n"
