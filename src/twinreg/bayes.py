@@ -203,10 +203,10 @@ def rope_bounds(loss: Sequence[float]) -> tuple[float, float]:
     return -high, high
 
 
-def _ascending(draws: Sequence[float]) -> np.ndarray:
-    """draws as a float array in ascending order; a sorted column is used as is."""
+def _ascending(draws: Sequence[float], presorted: bool) -> np.ndarray:
+    """draws as an ascending float array, sorted only if needed; presorted skips the check."""
     x = np.asarray(draws, dtype=float)
-    if not (x[1:] >= x[:-1]).all():
+    if not presorted and not (x[1:] >= x[:-1]).all():
         x = np.sort(x)
     return x
 
@@ -223,9 +223,11 @@ def _quantile(x: np.ndarray, q: float) -> float:
     return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def credible_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
+def credible_interval(
+    draws: Sequence[float], level: float, *, presorted: bool = False
+) -> tuple[float, float]:
     """Equal-tailed interval between the (1-level)/2 and 1-(1-level)/2 quantiles."""
-    x = _ascending(draws)
+    x = _ascending(draws, presorted)
     if len(x) < 100:
         raise ValueError(f"credible_interval needs at least 100 draws, got {len(x)}")
     if not 0.0 < level < 1.0:
@@ -234,9 +236,11 @@ def credible_interval(draws: Sequence[float], level: float) -> tuple[float, floa
     return _quantile(x, alpha), _quantile(x, 1.0 - alpha)
 
 
-def hdi_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
+def hdi_interval(
+    draws: Sequence[float], level: float, *, presorted: bool = False
+) -> tuple[float, float]:
     """Highest-density interval: the shortest window holding the target mass."""
-    x = _ascending(draws)
+    x = _ascending(draws, presorted)
     if len(x) < 100:
         raise ValueError(f"hdi_interval needs at least 100 draws, got {len(x)}")
     if not 0.0 < level < 1.0:
@@ -261,9 +265,11 @@ def pirope(
     draws: Sequence[float],
     ci: tuple[float, float],
     rope: tuple[float, float],
+    *,
+    presorted: bool = False,
 ) -> float:
     """Percent of the draws inside the CI that also land inside the ROPE."""
-    x = _ascending(draws)
+    x = _ascending(draws, presorted)
     denom = _count_within(x, ci[0], ci[1])
     if denom == 0:
         raise DataError("degenerate credible interval: no draws inside it")
@@ -279,7 +285,8 @@ def summarize_posterior(
 ) -> list[PosteriorSummary]:
     """Per-parameter median, credible interval, ROPE bounds, and PIROPE.
 
-    Each column is sorted once; every number is then read from that copy.
+    Each column is sorted once; every number is then read from that copy,
+    which the interval and PIROPE take as presorted.
     Columns are sorted a round at a time, one column per worker thread
     (``kernels.worker_count``: columns too short to give each thread its
     slices are all sorted on the calling thread).  Each worker copies its
@@ -296,7 +303,7 @@ def summarize_posterior(
         cols = range(j0, min(j0 + len(bufs), p))
         run_parallel([partial(_sort_into, buf, post.beta[:, j]) for buf, j in zip(bufs, cols)])
         for ranked, j in zip(bufs, cols):
-            lo, hi = interval(ranked, level)
+            lo, hi = interval(ranked, level, presorted=True)
             out.append(
                 PosteriorSummary(
                     name=post.names[j],
@@ -307,7 +314,7 @@ def summarize_posterior(
                     ci_midpoint=0.5 * (lo + hi),
                     rope_low=rope[0],
                     rope_high=rope[1],
-                    pirope=pirope(ranked, (lo, hi), rope),
+                    pirope=pirope(ranked, (lo, hi), rope, presorted=True),
                 )
             )
     return out

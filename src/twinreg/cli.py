@@ -6,7 +6,7 @@ import argparse
 import datetime
 import json
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 
 from . import bayes, data, describe, ols, report
 from .errors import (
@@ -92,7 +92,13 @@ def _add_verdict_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every caller.
+
+    Each ``parse_args`` call fills a Namespace of its own; callers must not
+    add to or change the parser itself.
+    """
     parser = argparse.ArgumentParser(
         prog="twinreg",
         description="Dual frequentist/Bayesian regression pipeline for quarterly loan-loss data.",

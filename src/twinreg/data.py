@@ -94,8 +94,8 @@ def _as_text_lines(data: bytes | str | IO[bytes]) -> io.StringIO:
 
 def _records(
     data: bytes | str | IO[bytes], columns: Sequence[str]
-) -> Iterator[tuple[int, dict[str, str]]]:
-    """Each non-blank row as (1-based line, {column: stripped cell}).
+) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank row as (1-based line, its stripped cells in ``columns`` order).
 
     The header must name exactly ``columns``, in any order, and every row
     must have one field per column.
@@ -108,13 +108,17 @@ def _records(
     names = [h.strip() for h in header]
     if sorted(names) != sorted(columns):
         raise ParseError(f"header must name the columns {', '.join(columns)}; got {names}", line=1)
+    width = len(names)
+    order = [names.index(c) for c in columns]
     for row in reader:
-        line = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(names):
-            raise ParseError(f"expected {len(names)} fields, got {len(row)}", line=line)
-        yield line, {name: cell.strip() for name, cell in zip(names, row)}
+        if len(row) != width:
+            if "".join(row).strip():
+                raise ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+            continue  # a blank row, with any field count
+        cells = [row[i].strip() for i in order]
+        if "" in cells and not any(cells):
+            continue  # a blank row
+        yield reader.line_num, cells
 
 
 def _parse_date(text: str, line: int) -> datetime.date:
@@ -124,14 +128,26 @@ def _parse_date(text: str, line: int) -> datetime.date:
         raise ParseError(f"malformed date {text!r}", line=line) from None
 
 
+def _is_quarter_start(d: datetime.date) -> bool:
+    return d.day == 1 and d.month in QUARTER_MONTHS
+
+
 def _parse_quarter_date(text: str, line: int) -> datetime.date:
     d = _parse_date(text, line)
-    if d.day != 1 or d.month not in QUARTER_MONTHS:
+    if not _is_quarter_start(d):
         raise ParseError(
             f"non-quarterly date {text!r} (expected the first of Jan/Apr/Jul/Oct)",
             line=line,
         )
     return d
+
+
+def _check_unique(seen: dict[datetime.date, int], date: datetime.date, line: int) -> None:
+    first = seen.setdefault(date, line)
+    if first != line:
+        raise ParseError(
+            f"duplicate date {date.isoformat()} (first seen on line {first})", line=line
+        )
 
 
 def _parse_number(text: str, column: str, line: int) -> float:
@@ -144,6 +160,17 @@ def _parse_number(text: str, column: str, line: int) -> float:
     return v
 
 
+def _parse_numbers(cells: Sequence[str], columns: Sequence[str], line: int) -> list[float]:
+    """cells as finite floats; else the ParseError of the first bad cell, in order."""
+    try:
+        values = list(map(float, cells))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    return [_parse_number(text, column, line) for text, column in zip(cells, columns)]
+
+
 def parse_csv(data: bytes | str | IO[bytes]) -> list[Observation]:
     """Parse the canonical quarterly CSV into date-ordered Observations.
 
@@ -154,21 +181,12 @@ def parse_csv(data: bytes | str | IO[bytes]) -> list[Observation]:
     out: list[Observation] = []
     seen: dict[datetime.date, int] = {}
     for line, cells in _records(data, CSV_COLUMNS):
-        if any(cell == "" for cell in cells.values()):
+        if "" in cells:
             continue  # the stated omission rule: incomplete rows are dropped
-        date = _parse_quarter_date(cells["date"], line)
-        if date in seen:
-            raise ParseError(
-                f"duplicate date {date.isoformat()} (first seen on line {seen[date]})",
-                line=line,
-            )
-        seen[date] = line
-        loss = _parse_number(cells["loss"], "loss", line)
-        total_pop = _parse_number(cells["total_pop"], "total_pop", line)
-        ratio = _parse_number(cells["ratio"], "ratio", line)
-        aplir = _parse_number(cells["aplir"], "aplir", line)
-        ffr = _parse_number(cells["ffr"], "ffr", line)
-        av_claims = _parse_number(cells["av_claims"], "av_claims", line)
+        date = _parse_quarter_date(cells[0], line)
+        _check_unique(seen, date, line)
+        numbers = _parse_numbers(cells[1:], CSV_COLUMNS[1:], line)
+        loss, total_pop, ratio, aplir, ffr, av_claims = numbers
         if total_pop <= 0:
             raise ParseError(f"total_pop must be positive, got {total_pop}", line=line)
         if ratio <= 0:
@@ -188,7 +206,7 @@ def load_csv(path: str) -> list[Observation]:
 def encode_time(date: datetime.date, origin: datetime.date) -> tuple[int, int]:
     """Discrete time encoding: (quarters since origin + 1, years since origin + 1)."""
     for d, label in ((origin, "origin"), (date, "date")):
-        if d.day != 1 or d.month not in QUARTER_MONTHS:
+        if not _is_quarter_start(d):
             raise DataError(f"{label} {d.isoformat()} is not a quarter start")
     if date < origin:
         raise DataError(
@@ -241,6 +259,11 @@ def aggregate_prior_month(
     quarter_start: datetime.date,
 ) -> float:
     """Mean of the non-empty values dated in the month before quarter_start."""
+    if not _is_quarter_start(quarter_start):
+        raise DataError(
+            f"{quarter_start.isoformat()} is not a quarter start "
+            "(expected the first of Jan/Apr/Jul/Oct)"
+        )
     year, month = _prior_month(quarter_start)
     vals = [
         v
@@ -255,10 +278,11 @@ def aggregate_prior_month(
 
 
 def parse_daily_csv(data: bytes | str | IO[bytes]) -> list[tuple[datetime.date, float | None]]:
-    """Parse the daily-series helper input (header ``date,value``)."""
+    """Parse the daily-series helper input (header ``date,value``); dates are unique."""
     out: list[tuple[datetime.date, float | None]] = []
-    for line, cells in _records(data, ("date", "value")):
-        date = _parse_date(cells["date"], line)
-        text = cells["value"]
-        out.append((date, None if text == "" else _parse_number(text, "value", line)))
+    seen: dict[datetime.date, int] = {}
+    for line, (date_text, text) in _records(data, ("date", "value")):
+        date = _parse_date(date_text, line)
+        _check_unique(seen, date, line)
+        out.append((date, _parse_number(text, "value", line) if text else None))
     return out

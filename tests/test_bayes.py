@@ -301,6 +301,25 @@ class TestSummarizePosterior:
         wide = summarize_posterior(post, d.y, level=0.99)
         assert narrow[1].ci_high - narrow[1].ci_low < wide[1].ci_high - wide[1].ci_low
 
+    @pytest.mark.parametrize("use_hdi", [False, True])
+    def test_sorted_columns_skip_the_ascending_check(self, monkeypatch, use_hdi):
+        d = make_design(seed=16)
+        post = sample_posterior(d, fit_ols(d), default_prior(d), 3000, RandomSource(10))
+        want = summarize_posterior(post, d.y, use_hdi=use_hdi)
+        flags = []
+        ascending = bayes._ascending
+
+        def recording(draws, presorted):
+            flags.append(presorted)
+            return ascending(draws, presorted)
+
+        monkeypatch.setattr(bayes, "_ascending", recording)
+        got = summarize_posterior(post, d.y, use_hdi=use_hdi)
+        assert flags == [True] * (2 * d.p)
+        assert [(s.ci_low, s.ci_high, s.pirope) for s in got] == [
+            (s.ci_low, s.ci_high, s.pirope) for s in want
+        ]
+
 
 class TestThreadUse:
     def test_traced_names_run_on_the_main_thread(self, monkeypatch):
@@ -447,6 +466,8 @@ class TestSortedColumnOracles:
                 assert pirope(ranked, got, rope) == want_p, (level, kind)
                 assert pirope(x, got, rope) == want_p, (level, kind)
             assert hdi_interval(ranked, level) == hdi_interval(x, level)
+            assert hdi_interval(ranked, level, presorted=True) == hdi_interval(x, level)
+            assert credible_interval(ranked, level, presorted=True) == want
 
     def test_index_is_n_minus_one_times_q(self):
         # at n = 1001 and level 0.89 numpy's index (n-1)q is 945.0000000000001,

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: exit codes, formats, and streams."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -154,6 +155,23 @@ class TestAggregate:
         )
         assert code == 1
         assert err.startswith("data error:")
+
+    def test_quarter_start_must_start_a_quarter(self, run, tmp_path):
+        code, out, err = run(
+            "aggregate", "--input", self.daily_csv(tmp_path), "--quarter-start", "2011-04-17"
+        )
+        assert (code, out) == (1, b"")
+        assert err == (
+            "data error: 2011-04-17 is not a quarter start "
+            "(expected the first of Jan/Apr/Jul/Oct)\n"
+        )
+
+    def test_duplicate_daily_date_is_parse_error(self, run, tmp_path):
+        path = tmp_path / "daily.csv"
+        path.write_text("date,value\n2011-03-01,1\n2011-03-01,1\n2011-03-02,4\n")
+        code, out, err = run("aggregate", "--input", str(path), "--quarter-start", "2011-04-01")
+        assert (code, out) == (1, b"")
+        assert err == "parse error: line 3: duplicate date 2011-03-01 (first seen on line 2)\n"
 
     def test_no_values_in_window(self, run, tmp_path):
         code, _, err = run(
@@ -377,3 +395,24 @@ class TestParser:
         args = build_parser().parse_args(["verdict", "--input", "x.csv"])
         assert args.pirope_epsilon == 1.0
         assert args.no_assoc_threshold == 99.0
+
+    def test_main_builds_the_parser_once_per_process(self, run, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["describe"], ["anova", "--group", "year"], ["describe", "--format", "json"]):
+            assert run(*argv, "--input", FIXTURE)[0] == 0
+        assert run("bayes", "--input", FIXTURE, "--draws", "500")[0] == 2
+        # "twinreg" is the top-level parser; 0 if an earlier test built it
+        assert built.count("twinreg") <= 1
+
+    def test_each_call_parses_into_its_own_namespace(self):
+        first = build_parser().parse_args(["anova", "--input", "a.csv", "--group", "year"])
+        second = build_parser().parse_args(["anova", "--input", "b.csv"])
+        assert (first.input, first.group_key) == ("a.csv", "year")
+        assert (second.input, second.group_key) == ("b.csv", "month")

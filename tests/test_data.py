@@ -124,6 +124,42 @@ class TestParseCsv:
             parse_csv(text)
 
 
+class TestFirstErrorWins:
+    """Which message a row with several faults gets: the order of the checks."""
+
+    def test_field_count_before_empty_cell(self):
+        text = make_csv(row("2011-04-01"), "2011-07-01,,300000000,0.97,3.3,0.1")
+        with pytest.raises(ParseError, match="^line 3: expected 7 fields, got 6$"):
+            parse_csv(text)
+
+    def test_empty_cell_drops_a_row_with_a_bad_date(self):
+        obs = parse_csv(make_csv(row("2011-04-01"), row("2011-13-01", aplir="")))
+        assert [o.date.isoformat() for o in obs] == ["2011-04-01"]
+
+    def test_bad_date_before_bad_number(self):
+        with pytest.raises(ParseError, match="^line 2: malformed date 'soon'$"):
+            parse_csv(make_csv(row("soon", loss="x")))
+
+    def test_numbers_are_checked_in_column_order(self):
+        with pytest.raises(ParseError, match="^line 2: non-numeric loss field 'x'$"):
+            parse_csv(make_csv(row("2011-04-01", loss="x", ffr="y")))
+        # the header order does not change which number is checked first
+        header = "ffr,av_claims,date,loss,total_pop,ratio,aplir"
+        with pytest.raises(ParseError, match="^line 2: non-numeric loss field 'x'$"):
+            parse_csv(make_csv("y,3000000,2011-04-01,x,300000000,0.97,3.3", header=header))
+
+    def test_duplicate_date_before_bad_number(self):
+        text = make_csv(row("2011-04-01"), row("2011-07-01"), row("2011-04-01", ratio="z"))
+        with pytest.raises(
+            ParseError, match=r"^line 4: duplicate date 2011-04-01 \(first seen on line 2\)$"
+        ):
+            parse_csv(text)
+
+    def test_bad_number_before_range_check(self):
+        with pytest.raises(ParseError, match="^line 2: non-numeric av_claims field 'q'$"):
+            parse_csv(make_csv(row("2011-04-01", pop="0", claims="q")))
+
+
 class TestEncodeTime:
     def test_origin_maps_to_one_one(self):
         assert encode_time(datetime.date(2011, 4, 1), datetime.date(2011, 4, 1)) == (1, 1)
@@ -207,6 +243,12 @@ class TestAggregatePriorMonth:
         with pytest.raises(DataError):
             aggregate_prior_month(daily, datetime.date(2011, 4, 1))
 
+    @pytest.mark.parametrize("day", ["2011-04-17", "2011-05-01"])
+    def test_quarter_start_must_start_a_quarter(self, day):
+        daily = self.daily(("2011-03-01", 5.0), ("2011-04-01", 7.0))
+        with pytest.raises(DataError, match=f"^{day} is not a quarter start"):
+            aggregate_prior_month(daily, datetime.date.fromisoformat(day))
+
 
 class TestParseDailyCsv:
     def test_happy_path_with_gaps(self):
@@ -225,6 +267,14 @@ class TestParseDailyCsv:
     def test_bad_number_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
             parse_daily_csv(b"date,value\n2011-03-01,1\n2011-03-02,zz\n")
+
+    @pytest.mark.parametrize("repeat", ["2011-03-01,1", "2011-03-01,", "2011-03-01,zz"])
+    def test_duplicate_date_rejected(self, repeat):
+        text = f"date,value\n2011-03-01,1\n2011-03-02,4\n{repeat}\n".encode()
+        with pytest.raises(
+            ParseError, match=r"^line 4: duplicate date 2011-03-01 \(first seen on line 2\)$"
+        ):
+            parse_daily_csv(text)
 
 
 # both parsers read through one record reader; each case runs against each

@@ -34,3 +34,18 @@ def test_stdout_matches_golden(case, fmt, capfdbinary):
     cap = capfdbinary.readouterr()
     assert (code, cap.err) == (0, b"")
     assert cap.out == (ROOT / "golden" / f"{case}_{fmt}.out").read_bytes()
+
+
+def test_one_process_runs_errors_then_every_case(tmp_path, capfdbinary):
+    # a usage error and a parse error leave nothing behind for the next call
+    assert main(["bayes", "--input", FIXTURE, "--draws", "500"]) == 2
+    bad = tmp_path / "bad.csv"
+    bad.write_text("date,loss,total_pop,ratio,aplir,ffr,av_claims\n2011-04-01,x,1,1,1,1,1\n")
+    assert main(["describe", "--input", str(bad)]) == 1
+    err = capfdbinary.readouterr().err.decode()
+    assert err.splitlines()[-1] == "parse error: line 2: non-numeric loss field 'x'"
+    for case, fmt in reversed([(c, f) for c in CASES for f in ("text", "json")]):
+        code = main([*CASES[case], "--input", FIXTURE, "--format", fmt])
+        cap = capfdbinary.readouterr()
+        assert (code, cap.err) == (0, b""), (case, fmt)
+        assert cap.out == (ROOT / "golden" / f"{case}_{fmt}.out").read_bytes(), (case, fmt)
