@@ -203,10 +203,16 @@ def rope_bounds(loss: Sequence[float]) -> tuple[float, float]:
     return -high, high
 
 
-def _ascending(draws: Sequence[float], presorted: bool) -> np.ndarray:
-    """draws as an ascending float array, sorted only if needed; presorted skips the check."""
+class _SortedColumn(np.ndarray):
+    """A column buffer that ``summarize_posterior`` has just sorted."""
+
+
+def _ascending(draws: Sequence[float]) -> np.ndarray:
+    """draws as an ascending float array; only a _SortedColumn skips the check."""
+    if isinstance(draws, _SortedColumn):
+        return draws
     x = np.asarray(draws, dtype=float)
-    if not presorted and not (x[1:] >= x[:-1]).all():
+    if not (x[1:] >= x[:-1]).all():
         x = np.sort(x)
     return x
 
@@ -223,11 +229,9 @@ def _quantile(x: np.ndarray, q: float) -> float:
     return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
 
 
-def credible_interval(
-    draws: Sequence[float], level: float, *, presorted: bool = False
-) -> tuple[float, float]:
+def credible_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
     """Equal-tailed interval between the (1-level)/2 and 1-(1-level)/2 quantiles."""
-    x = _ascending(draws, presorted)
+    x = _ascending(draws)
     if len(x) < 100:
         raise ValueError(f"credible_interval needs at least 100 draws, got {len(x)}")
     if not 0.0 < level < 1.0:
@@ -236,11 +240,9 @@ def credible_interval(
     return _quantile(x, alpha), _quantile(x, 1.0 - alpha)
 
 
-def hdi_interval(
-    draws: Sequence[float], level: float, *, presorted: bool = False
-) -> tuple[float, float]:
+def hdi_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
     """Highest-density interval: the shortest window holding the target mass."""
-    x = _ascending(draws, presorted)
+    x = _ascending(draws)
     if len(x) < 100:
         raise ValueError(f"hdi_interval needs at least 100 draws, got {len(x)}")
     if not 0.0 < level < 1.0:
@@ -265,11 +267,9 @@ def pirope(
     draws: Sequence[float],
     ci: tuple[float, float],
     rope: tuple[float, float],
-    *,
-    presorted: bool = False,
 ) -> float:
     """Percent of the draws inside the CI that also land inside the ROPE."""
-    x = _ascending(draws, presorted)
+    x = _ascending(draws)
     denom = _count_within(x, ci[0], ci[1])
     if denom == 0:
         raise DataError("degenerate credible interval: no draws inside it")
@@ -286,7 +286,7 @@ def summarize_posterior(
     """Per-parameter median, credible interval, ROPE bounds, and PIROPE.
 
     Each column is sorted once; every number is then read from that copy,
-    which the interval and PIROPE take as presorted.
+    a ``_SortedColumn`` the interval and PIROPE use without checking its order.
     Columns are sorted a round at a time, one column per worker thread
     (``kernels.worker_count``: columns too short to give each thread its
     slices are all sorted on the calling thread).  Each worker copies its
@@ -297,13 +297,13 @@ def summarize_posterior(
     rope = rope_bounds(loss)
     interval = hdi_interval if use_hdi else credible_interval
     draws, p = post.beta.shape
-    bufs = [np.empty(draws) for _ in range(worker_count(p, draws))]
+    bufs = [np.empty(draws).view(_SortedColumn) for _ in range(worker_count(p, draws))]
     out = []
     for j0 in range(0, p, len(bufs)):
         cols = range(j0, min(j0 + len(bufs), p))
         run_parallel([partial(_sort_into, buf, post.beta[:, j]) for buf, j in zip(bufs, cols)])
         for ranked, j in zip(bufs, cols):
-            lo, hi = interval(ranked, level, presorted=True)
+            lo, hi = interval(ranked, level)
             out.append(
                 PosteriorSummary(
                     name=post.names[j],
@@ -314,7 +314,7 @@ def summarize_posterior(
                     ci_midpoint=0.5 * (lo + hi),
                     rope_low=rope[0],
                     rope_high=rope[1],
-                    pirope=pirope(ranked, (lo, hi), rope, presorted=True),
+                    pirope=pirope(ranked, (lo, hi), rope),
                 )
             )
     return out

@@ -116,7 +116,7 @@ def _records(
                 raise ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
             continue  # a blank row, with any field count
         cells = [row[i].strip() for i in order]
-        if "" in cells and not any(cells):
+        if not any(cells):
             continue  # a blank row
         yield reader.line_num, cells
 
@@ -128,6 +128,9 @@ def _parse_date(text: str, line: int) -> datetime.date:
         raise ParseError(f"malformed date {text!r}", line=line) from None
 
 
+_QUARTER_START_RULE = "expected the first of Jan/Apr/Jul/Oct"
+
+
 def _is_quarter_start(d: datetime.date) -> bool:
     return d.day == 1 and d.month in QUARTER_MONTHS
 
@@ -136,7 +139,7 @@ def _parse_quarter_date(text: str, line: int) -> datetime.date:
     d = _parse_date(text, line)
     if not _is_quarter_start(d):
         raise ParseError(
-            f"non-quarterly date {text!r} (expected the first of Jan/Apr/Jul/Oct)",
+            f"non-quarterly date {text!r} ({_QUARTER_START_RULE})",
             line=line,
         )
     return d
@@ -160,17 +163,6 @@ def _parse_number(text: str, column: str, line: int) -> float:
     return v
 
 
-def _parse_numbers(cells: Sequence[str], columns: Sequence[str], line: int) -> list[float]:
-    """cells as finite floats; else the ParseError of the first bad cell, in order."""
-    try:
-        values = list(map(float, cells))
-        if all(map(math.isfinite, values)):
-            return values
-    except ValueError:
-        pass
-    return [_parse_number(text, column, line) for text, column in zip(cells, columns)]
-
-
 def parse_csv(data: bytes | str | IO[bytes]) -> list[Observation]:
     """Parse the canonical quarterly CSV into date-ordered Observations.
 
@@ -185,8 +177,9 @@ def parse_csv(data: bytes | str | IO[bytes]) -> list[Observation]:
             continue  # the stated omission rule: incomplete rows are dropped
         date = _parse_quarter_date(cells[0], line)
         _check_unique(seen, date, line)
-        numbers = _parse_numbers(cells[1:], CSV_COLUMNS[1:], line)
-        loss, total_pop, ratio, aplir, ffr, av_claims = numbers
+        loss, total_pop, ratio, aplir, ffr, av_claims = (
+            _parse_number(text, column, line) for text, column in zip(cells[1:], CSV_COLUMNS[1:])
+        )
         if total_pop <= 0:
             raise ParseError(f"total_pop must be positive, got {total_pop}", line=line)
         if ratio <= 0:
@@ -261,8 +254,7 @@ def aggregate_prior_month(
     """Mean of the non-empty values dated in the month before quarter_start."""
     if not _is_quarter_start(quarter_start):
         raise DataError(
-            f"{quarter_start.isoformat()} is not a quarter start "
-            "(expected the first of Jan/Apr/Jul/Oct)"
+            f"{quarter_start.isoformat()} is not a quarter start ({_QUARTER_START_RULE})"
         )
     year, month = _prior_month(quarter_start)
     vals = [

@@ -306,16 +306,16 @@ class TestSummarizePosterior:
         d = make_design(seed=16)
         post = sample_posterior(d, fit_ols(d), default_prior(d), 3000, RandomSource(10))
         want = summarize_posterior(post, d.y, use_hdi=use_hdi)
-        flags = []
+        kinds = []
         ascending = bayes._ascending
 
-        def recording(draws, presorted):
-            flags.append(presorted)
-            return ascending(draws, presorted)
+        def recording(draws):
+            kinds.append(type(draws))
+            return ascending(draws)
 
         monkeypatch.setattr(bayes, "_ascending", recording)
         got = summarize_posterior(post, d.y, use_hdi=use_hdi)
-        assert flags == [True] * (2 * d.p)
+        assert kinds == [bayes._SortedColumn] * (2 * d.p)
         assert [(s.ci_low, s.ci_high, s.pirope) for s in got] == [
             (s.ci_low, s.ci_high, s.pirope) for s in want
         ]
@@ -466,8 +466,9 @@ class TestSortedColumnOracles:
                 assert pirope(ranked, got, rope) == want_p, (level, kind)
                 assert pirope(x, got, rope) == want_p, (level, kind)
             assert hdi_interval(ranked, level) == hdi_interval(x, level)
-            assert hdi_interval(ranked, level, presorted=True) == hdi_interval(x, level)
-            assert credible_interval(ranked, level, presorted=True) == want
+            column = ranked.view(bayes._SortedColumn)
+            assert hdi_interval(column, level) == hdi_interval(x, level)
+            assert credible_interval(column, level) == want
 
     def test_index_is_n_minus_one_times_q(self):
         # at n = 1001 and level 0.89 numpy's index (n-1)q is 945.0000000000001,
