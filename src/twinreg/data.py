@@ -3,14 +3,16 @@
 The canonical input is a quarterly CSV with header
 ``date,loss,total_pop,ratio,aplir,ffr,av_claims`` (any column order).  Rows
 with any empty field carry no usable information and are dropped.  Remaining
-rows are validated, sorted by date, and turned into a ModelFrame whose
-columns feed both regression engines:
+rows are validated in one pass, sorted by date, and turned column by column
+(one numpy call each) into a ModelFrame whose columns feed both regression
+engines:
 
 * ``adj_pop``    = total_pop / 1e8
 * ``adj_claims`` = av_claims / 1e6
-* ``exp_claims`` = exp(adj_claims)
-* ``month_index``, ``year_index`` from :func:`encode_time` with the first
-  observed date as origin.
+* ``exp_claims`` = exp(adj_claims), by ``math.exp`` per value
+* ``month_index``, ``year_index``: quarters and years since the first
+  observed date, plus one, from one integer expression over all rows;
+  :func:`encode_time` is the same encoding for a single date.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ import datetime
 import io
 import math
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import repeat
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,8 +37,7 @@ CSV_COLUMNS = ("date", "loss", "total_pop", "ratio", "aplir", "ffr", "av_claims"
 REGRESSOR_NAMES = ("Month", "Year", "AdjPop", "Ratio", "APLIR", "FFR", "ExpClaims")
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One quarterly row of raw measurements."""
 
     date: datetime.date
@@ -102,23 +105,25 @@ def _records(
     """
     reader = csv.reader(_as_text_lines(data))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input: missing header row", line=1) from None
-    names = [h.strip() for h in header]
-    if sorted(names) != sorted(columns):
-        raise ParseError(f"header must name the columns {', '.join(columns)}; got {names}", line=1)
-    width = len(names)
-    order = [names.index(c) for c in columns]
-    for row in reader:
-        if len(row) != width:
-            if "".join(row).strip():
-                raise ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
-            continue  # a blank row, with any field count
-        cells = [row[i].strip() for i in order]
-        if not any(cells):
-            continue  # a blank row
-        yield reader.line_num, cells
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty input: missing header row", line=1)
+        names = [h.strip() for h in header]
+        if sorted(names) != sorted(columns):
+            raise ParseError(f"header must name the columns {', '.join(columns)}; got {names}", line=1)
+        width = len(names)
+        order = [names.index(c) for c in columns]
+        for row in reader:
+            if len(row) != width:
+                if "".join(row).strip():
+                    raise ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+                continue  # a blank row, with any field count
+            cells = [row[i].strip() for i in order]
+            if not any(cells):
+                continue  # a blank row
+            yield reader.line_num, cells
+    except csv.Error as exc:  # a CR-only line ending, a cell over the csv module's size limit
+        raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
 
 
 def _parse_date(text: str, line: int) -> datetime.date:
@@ -177,8 +182,8 @@ def parse_csv(data: bytes | str | IO[bytes]) -> list[Observation]:
             continue  # the stated omission rule: incomplete rows are dropped
         date = _parse_quarter_date(cells[0], line)
         _check_unique(seen, date, line)
-        loss, total_pop, ratio, aplir, ffr, av_claims = (
-            _parse_number(text, column, line) for text, column in zip(cells[1:], CSV_COLUMNS[1:])
+        loss, total_pop, ratio, aplir, ffr, av_claims = map(
+            _parse_number, cells[1:], CSV_COLUMNS[1:], repeat(line)
         )
         if total_pop <= 0:
             raise ParseError(f"total_pop must be positive, got {total_pop}", line=line)
@@ -187,7 +192,7 @@ def parse_csv(data: bytes | str | IO[bytes]) -> list[Observation]:
         if av_claims < 0:
             raise ParseError(f"av_claims must be nonnegative, got {av_claims}", line=line)
         out.append(Observation(date, loss, total_pop, ratio, aplir, ffr, av_claims))
-    out.sort(key=lambda o: o.date)
+    out.sort(key=itemgetter(0))
     return out
 
 
@@ -211,13 +216,12 @@ def encode_time(date: datetime.date, origin: datetime.date) -> tuple[int, int]:
     return quarters + 1, date.year - origin.year + 1
 
 
-def _exp_claims(o: Observation) -> float:
+def _exp_claim(av_claims: float, date: datetime.date) -> float:
     try:
-        return math.exp(o.av_claims / 1e6)
+        return math.exp(av_claims / 1e6)
     except OverflowError:
         raise DataError(
-            f"av_claims {o.av_claims!r} on {o.date.isoformat()} overflows "
-            "exp(av_claims / 1e6)"
+            f"av_claims {av_claims!r} on {date.isoformat()} overflows exp(av_claims / 1e6)"
         ) from None
 
 
@@ -225,19 +229,22 @@ def apply_transforms(obs: Sequence[Observation]) -> ModelFrame:
     """Build the ModelFrame: time encodings plus the documented scale transforms."""
     if not obs:
         raise DataError("cannot build a model frame from zero observations")
-    rows = sorted(obs, key=lambda o: o.date)
-    origin = rows[0].date
-    encoded = [encode_time(o.date, origin) for o in rows]
+    dates, loss, total_pop, ratio, aplir, ffr, av_claims = zip(*sorted(obs, key=itemgetter(0)))
+    bad = next((d for d in dates if not _is_quarter_start(d)), None)
+    if bad is not None:  # the origin, dates[0], is checked first, as in encode_time
+        label = "origin" if bad == dates[0] else "date"
+        raise DataError(f"{label} {bad.isoformat()} is not a quarter start")
+    months = np.array([d.year * 12 + d.month - 1 for d in dates])  # since January of year 0
     return ModelFrame(
-        dates=tuple(o.date for o in rows),
-        month_index=np.array([m for m, _ in encoded], dtype=np.int64),
-        year_index=np.array([y for _, y in encoded], dtype=np.int64),
-        adj_pop=np.array([o.total_pop / 1e8 for o in rows]),
-        ratio=np.array([o.ratio for o in rows]),
-        aplir=np.array([o.aplir for o in rows]),
-        ffr=np.array([o.ffr for o in rows]),
-        exp_claims=np.array([_exp_claims(o) for o in rows]),
-        loss=np.array([o.loss for o in rows]),
+        dates=dates,
+        month_index=(months - months[0]) // 3 + 1,
+        year_index=months // 12 - months[0] // 12 + 1,
+        adj_pop=np.array(total_pop) / 1e8,
+        ratio=np.array(ratio),
+        aplir=np.array(aplir),
+        ffr=np.array(ffr),
+        exp_claims=np.array([_exp_claim(c, d) for c, d in zip(av_claims, dates)]),
+        loss=np.array(loss),
     )
 
 

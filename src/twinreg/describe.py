@@ -71,8 +71,9 @@ def one_way_anova(
     y = np.asarray(values, dtype=float)
     if len(y) != len(groups):
         raise DataError("values and groups must have equal length")
-    keys = list(dict.fromkeys(groups))  # first-appearance order
-    k, n = len(keys), len(y)
+    code_of: dict[Hashable, int] = {}  # codes follow first appearance
+    codes = np.array([code_of.setdefault(g, len(code_of)) for g in groups], dtype=np.intp)
+    k, n = len(code_of), len(y)
     if k < 2:
         raise DataError(f"ANOVA needs at least 2 groups, got {k}")
     if n <= k:
@@ -82,12 +83,15 @@ def one_way_anova(
     grand = y.mean()
     ssb = 0.0
     ssw = 0.0
-    garr = np.asarray(groups, dtype=object)
+    # each group as one contiguous slice, its values in input order
+    ys = y[np.argsort(codes, kind="stable")]
+    ends = np.cumsum(np.bincount(codes)).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        for key in keys:
-            sub = y[garr == key]
-            ssb += len(sub) * (sub.mean() - grand) ** 2
-            ssw += float(np.sum((sub - sub.mean()) ** 2))
+        for start, end in zip([0, *ends], ends):
+            sub = ys[start:end]
+            mean = np.add.reduce(sub) / len(sub)
+            ssb += len(sub) * (mean - grand) ** 2
+            ssw += float(np.add.reduce(np.square(sub - mean)))
     if not (math.isfinite(ssb) and math.isfinite(ssw)):
         raise DataError(f"values too large: the {label} ANOVA sums of squares overflow a double")
     msb = ssb / (k - 1)

@@ -274,6 +274,23 @@ class TestFailureExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("parse error: line 4:")
 
+    @pytest.mark.parametrize("case", ["cr-only", "long-cell"])
+    def test_csv_module_error_is_one_parse_error_line(self, run, tmp_path, case):
+        want = {
+            "cr-only": "parse error: line 1: unreadable CSV: new-line character seen",
+            "long-cell": "parse error: line 4: unreadable CSV: field larger than field limit",
+        }[case]
+        lines = Path(FIXTURE).read_bytes().splitlines()
+        if case == "long-cell":
+            lines[3] += b"0" * 200_000
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(b"\r".join(lines) + b"\r" if case == "cr-only" else b"\n".join(lines))
+        code, out, err = run("describe", "--input", str(path))
+        assert code == 1
+        assert out == b""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(want)
+
     def test_byte_order_mark_is_ignored(self, run, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + Path(FIXTURE).read_bytes())

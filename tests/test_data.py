@@ -2,12 +2,14 @@
 
 import datetime
 import math
+import random
 
 import numpy as np
 import pytest
 
 from twinreg import (
     DataError,
+    Observation,
     ParseError,
     aggregate_prior_month,
     apply_transforms,
@@ -219,6 +221,69 @@ class TestApplyTransforms:
         assert np.array_equal(cols[6], frame.exp_claims)
 
 
+def random_quarters(rng, n):
+    """n distinct quarter starts from 1900 to 2100, in random order."""
+    return [
+        datetime.date(1900 + q // 4, 3 * (q % 4) + 1, 1) for q in rng.sample(range(800), n)
+    ]
+
+
+def observations(dates, rng):
+    return [
+        Observation(d, rng.uniform(0, 3), rng.uniform(1e8, 4e8), rng.uniform(0.9, 1.1),
+                    rng.uniform(2, 6), rng.uniform(0, 3), rng.uniform(0, 7e8))
+        for d in dates
+    ]
+
+
+class TestColumnarTransforms:
+    """The columnar frame against per-row oracles, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_time_indices_equal_encode_time(self, seed):
+        rng = random.Random(seed)
+        dates = random_quarters(rng, rng.randint(1, 300))
+        frame = apply_transforms(observations(dates, rng))  # unsorted input
+        assert list(frame.dates) == sorted(dates)
+        want = [encode_time(d, frame.dates[0]) for d in frame.dates]
+        assert frame.month_index.tolist() == [m for m, _ in want]
+        assert frame.year_index.tolist() == [y for _, y in want]
+        assert frame.month_index.dtype == frame.year_index.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_value_columns_equal_per_value_transforms(self, seed):
+        rng = random.Random(seed)
+        obs = sorted(observations(random_quarters(rng, 200), rng), key=lambda o: o.date)
+        frame = apply_transforms(obs[::-1])
+        assert frame.exp_claims.tolist() == [math.exp(o.av_claims / 1e6) for o in obs]
+        assert frame.adj_pop.tolist() == [o.total_pop / 1e8 for o in obs]
+        for name in ("loss", "ratio", "aplir", "ffr"):
+            assert getattr(frame, name).tolist() == [getattr(o, name) for o in obs]
+
+    def test_non_quarter_origin_is_named_first(self):
+        rng = random.Random(0)
+        dates = [datetime.date(2011, 4, 2), datetime.date(2011, 8, 1), datetime.date(2011, 10, 1)]
+        with pytest.raises(DataError, match="^origin 2011-04-02 is not a quarter start$"):
+            apply_transforms(observations(dates[::-1], rng))
+
+    def test_first_non_quarter_date_is_named(self):
+        rng = random.Random(0)
+        dates = [datetime.date(2012, 2, 1), datetime.date(2011, 4, 1), datetime.date(2011, 8, 1)]
+        with pytest.raises(DataError, match="^date 2011-08-01 is not a quarter start$"):
+            apply_transforms(observations(dates, rng))
+
+    def test_first_overflowing_claims_row_is_named(self):
+        obs = [
+            Observation(datetime.date(2011, 10, 1), 0.5, 3e8, 0.97, 3.3, 0.1, 2e9),
+            Observation(datetime.date(2011, 4, 1), 0.5, 3e8, 0.97, 3.3, 0.1, 3e6),
+            Observation(datetime.date(2011, 7, 1), 0.5, 3e8, 0.97, 3.3, 0.1, 1e9),
+        ]
+        with pytest.raises(
+            DataError, match=r"^av_claims 1000000000\.0 on 2011-07-01 overflows exp\(av_claims / 1e6\)$"
+        ):
+            apply_transforms(obs)
+
+
 class TestAggregatePriorMonth:
     def daily(self, *pairs):
         return [(datetime.date.fromisoformat(d), v) for d, v in pairs]
@@ -329,3 +394,14 @@ class TestRecordReader:
         cells[0] = " 2011-13-01 "
         with pytest.raises(ParseError, match="^line 2: malformed date '2011-13-01'$"):
             parse(f"{header}\n{','.join(cells)}\n".encode())
+
+    def test_cr_only_line_ends_are_a_parse_error(self, reader):
+        parse, header, good = reader
+        with pytest.raises(ParseError, match="^line 1: unreadable CSV: new-line character"):
+            parse(f"{header}\r{good}\r".encode())
+
+    def test_over_long_cell_names_its_line(self, reader):
+        parse, header, good = reader
+        long_cell = good + "x" * 131_073
+        with pytest.raises(ParseError, match="^line 3: unreadable CSV: field larger than"):
+            parse(f"{header}\n{good}\n{long_cell}\n{good}\n".encode())

@@ -141,6 +141,54 @@ class TestOneWayAnova:
             one_way_anova([1, 2], ["a"])
 
 
+def masked_anova_f(values, groups):
+    """F as one object-array mask per key computed it: the bit-for-bit reference."""
+    y = np.asarray(values, dtype=float)
+    keys = list(dict.fromkeys(groups))
+    k, n = len(keys), len(y)
+    grand = y.mean()
+    ssb = 0.0
+    ssw = 0.0
+    garr = np.asarray(groups, dtype=object)
+    for key in keys:
+        sub = y[garr == key]
+        ssb += len(sub) * (sub.mean() - grand) ** 2
+        ssw += float(np.sum((sub - sub.mean()) ** 2))
+    return (ssb / (k - 1)) / (ssw / (n - k))
+
+
+class TestContiguousGroupSums:
+    """Each group reduced as one slice gives the masked reference's bits."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_string_groupings(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 300))
+        labels = [f"g{i}" for i in rng.permutation(int(rng.integers(2, max(3, n // 2))))]
+        groups = [labels[i] for i in rng.integers(0, len(labels), size=n)]
+        groups[:2] = labels[:2]  # at least two groups, and fewer groups than values
+        values = 10.0 ** rng.uniform(-5, 5) * rng.normal(size=n) + 10.0 ** rng.uniform(-5, 5)
+        res = one_way_anova(values, groups)
+        assert res.f_stat == masked_anova_f(values, groups)
+        assert (res.k, res.n) == (len(set(groups)), n)
+
+    def test_singleton_groups_and_unsorted_keys(self):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=9) * 1e5
+        groups = ["z", "b", "z", "a", "q", "b", "z", "m", "b"]  # a, q and m are singletons
+        res = one_way_anova(values, groups)
+        assert res.f_stat == masked_anova_f(values, groups)
+        assert res.k == 5
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-2, 1.0, 1e3, 1e5])
+    def test_value_scales(self, scale):
+        rng = np.random.default_rng(int(scale * 1e5))
+        values = scale * (rng.normal(size=120) + rng.integers(0, 3, size=120))
+        groups = [int(v) for v in rng.integers(1990, 2020, size=120)]
+        res = one_way_anova(values, groups)
+        assert res.f_stat == masked_anova_f(values, groups)
+
+
 class TestFrameGroupings:
     def test_month_grouping_uses_calendar_month(self):
         frame = tiny_frame()
