@@ -83,6 +83,7 @@ class PosteriorSummary:
     ci_low: float
     ci_high: float
     ci_midpoint: float
+    level: float  # the credible level of ci_low .. ci_high
     rope_low: float
     rope_high: float
     pirope: float
@@ -312,6 +313,7 @@ def summarize_posterior(
                     ci_low=lo,
                     ci_high=hi,
                     ci_midpoint=0.5 * (lo + hi),
+                    level=level,
                     rope_low=rope[0],
                     rope_high=rope[1],
                     pirope=pirope(ranked, (lo, hi), rope),

@@ -4,29 +4,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import sys
 from functools import cache, cached_property
 
 from . import bayes, data, describe, ols, report
-from .errors import (
-    ConsistencyError,
-    ConvergenceError,
-    DataError,
-    ParseError,
-    SingularDesignError,
-)
+from .errors import ConsistencyError, ConvergenceError, DataError, ParseError, SingularDesignError
 from .kernels import RandomSource
-
-# subcommand -> the report sections it renders, computed in this order
-SECTIONS = {
-    "describe": ("descriptive",),
-    "anova": ("anova",),
-    "ols": ("ols_fit", "ols_diag"),
-    "bayes": ("bayes",),
-    "verdict": ("verdicts",),
-    "report": ("ols_fit", "bayes", "descriptive", "anova", "ols_diag", "verdicts"),
-}
 
 # stderr prefix per failure, most specific type first; each exits with 1
 ERROR_PREFIXES = {
@@ -40,56 +23,68 @@ ERROR_PREFIXES = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="path to the quarterly CSV")
-    p.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        dest="fmt",
-        help="output format (default text)",
-    )
-
-
-def _add_bayes_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--draws", type=int, default=10_000, help="posterior draws (>= 1000)")
-    p.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
-    p.add_argument(
-        "--ci-level", type=float, default=0.89, help="credible level in (0,1)"
-    )
-    p.add_argument(
-        "--hdi",
-        action="store_true",
-        help="use the highest-density interval instead of equal tails",
-    )
-    p.add_argument(
-        "--coef-sd",
-        type=float,
-        default=None,
-        help="override every coefficient prior sd with this value",
-    )
-    p.add_argument("--sigma2-shape", type=float, default=1.0)
-    p.add_argument(
-        "--sigma2-scale",
-        type=float,
-        default=None,
-        help="sigma2 prior scale (default: auto-scaled to the data)",
-    )
-
-
-def _add_verdict_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--pirope-epsilon",
-        type=float,
-        default=1.0,
-        help="max percent-in-ROPE for Bayesian significance (default 1.0)",
-    )
-    p.add_argument(
-        "--no-assoc-threshold",
+# flag -> its add_argument keywords, in --help order
+_COMMON_FLAGS = {
+    "--input": dict(required=True, help="path to the quarterly CSV"),
+    "--format": dict(
+        choices=("text", "json"), default="text", dest="fmt", help="output format (default text)"
+    ),
+}
+_BAYES_FLAGS = {
+    "--draws": dict(type=int, default=10_000, help="posterior draws (>= 1000)"),
+    "--seed": dict(type=int, default=42, help="random seed (default 42)"),
+    "--ci-level": dict(type=float, default=0.89, help="credible level in (0,1)"),
+    "--hdi": dict(
+        action="store_true", help="use the highest-density interval instead of equal tails"
+    ),
+    "--coef-sd": dict(type=float, help="override every coefficient prior sd with this value"),
+    "--sigma2-shape": dict(type=float, default=1.0),
+    "--sigma2-scale": dict(
+        type=float, help="sigma2 prior scale (default: auto-scaled to the data)"
+    ),
+}
+_VERDICT_FLAGS = {
+    "--pirope-epsilon": dict(
+        type=float, default=1.0, help="max percent-in-ROPE for Bayesian significance (default 1.0)"
+    ),
+    "--no-assoc-threshold": dict(
         type=float,
         default=99.0,
         help="percent-in-ROPE at or above which no association is flagged",
-    )
+    ),
+}
+_VIF_FLAG = {"--vif-cutoff": dict(type=float, default=10.0)}
+
+# subcommand -> (its help, its flags after the common ones, the report
+# sections it renders, computed in this order)
+COMMANDS = {
+    "describe": ("descriptive statistics per variable", {}, ("descriptive",)),
+    "anova": (
+        "one-way ANOVA of Loss",
+        {
+            "--group": dict(
+                choices=("month", "year"),
+                default="month",
+                dest="group_key",
+                help="grouping key: calendar month-of-year or calendar year",
+            )
+        },
+        ("anova",),
+    ),
+    "ols": ("OLS fit with inference and diagnostics", _VIF_FLAG, ("ols_fit", "ols_diag")),
+    "bayes": ("Bayesian posterior summary with ROPE", _BAYES_FLAGS, ("bayes",)),
+    "verdict": ("combined significance verdict", _BAYES_FLAGS | _VERDICT_FLAGS, ("verdicts",)),
+    "report": (
+        "full report: all sections",
+        _BAYES_FLAGS | _VERDICT_FLAGS | _VIF_FLAG,
+        ("ols_fit", "bayes", "descriptive", "anova", "ols_diag", "verdicts"),
+    ),
+    "aggregate": (
+        "average a daily series over the month before a quarter start",
+        {"--quarter-start": dict(required=True, help="quarter start date, YYYY-MM-DD")},
+        (),
+    ),
+}
 
 
 @cache
@@ -104,47 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dual frequentist/Bayesian regression pipeline for quarterly loan-loss data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("describe", help="descriptive statistics per variable")
-    _add_common(p)
-
-    p = sub.add_parser("anova", help="one-way ANOVA of Loss")
-    _add_common(p)
-    p.add_argument(
-        "--group",
-        choices=("month", "year"),
-        default="month",
-        dest="group_key",
-        help="grouping key: calendar month-of-year or calendar year",
-    )
-
-    p = sub.add_parser("ols", help="OLS fit with inference and diagnostics")
-    _add_common(p)
-    p.add_argument("--vif-cutoff", type=float, default=10.0)
-
-    p = sub.add_parser("bayes", help="Bayesian posterior summary with ROPE")
-    _add_common(p)
-    _add_bayes_flags(p)
-
-    p = sub.add_parser("verdict", help="combined significance verdict")
-    _add_common(p)
-    _add_bayes_flags(p)
-    _add_verdict_flags(p)
-
-    p = sub.add_parser("report", help="full report: all sections")
-    _add_common(p)
-    _add_bayes_flags(p)
-    _add_verdict_flags(p)
-    p.add_argument("--vif-cutoff", type=float, default=10.0)
-
-    p = sub.add_parser(
-        "aggregate", help="average a daily series over the month before a quarter start"
-    )
-    _add_common(p)
-    p.add_argument(
-        "--quarter-start", required=True, help="quarter start date, YYYY-MM-DD"
-    )
-
+    for command, (summary, flags, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, kwargs in (_COMMON_FLAGS | flags).items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -197,11 +155,9 @@ class _Stages:
 
     @cached_property
     def verdicts(self) -> list[report.Verdict]:
+        a = self.args
         return report.combined_verdict(
-            self.ols_fit,
-            self.bayes,
-            pirope_epsilon=self.args.pirope_epsilon,
-            no_assoc_threshold=self.args.no_assoc_threshold,
+            self.ols_fit, self.bayes, a.pirope_epsilon, a.no_assoc_threshold
         )
 
 
@@ -214,8 +170,7 @@ def _aggregate(args: argparse.Namespace) -> bytes:
         raise DataError(f"malformed --quarter-start {args.quarter_start!r}") from None
     value = data.aggregate_prior_month(daily, qs)
     if args.fmt == "json":
-        doc = {"quarter_start": qs.isoformat(), "prior_month_mean": value}
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        return report.json_bytes({"quarter_start": qs.isoformat(), "prior_month_mean": value})
     return f"{value!r}\n".encode("utf-8")
 
 
@@ -223,12 +178,8 @@ def _run(args: argparse.Namespace) -> bytes:
     if args.command == "aggregate":
         return _aggregate(args)
     stages = _Stages(args)
-    sections = report.ReportSections(
-        **{name: getattr(stages, name) for name in SECTIONS[args.command]}
-    )
-    if sections.bayes is not None:
-        sections.bayes_level = args.ci_level
-    return report.render_report(sections, args.fmt)
+    sections = {name: getattr(stages, name) for name in COMMANDS[args.command][2]}
+    return report.render_report(report.ReportSections(**sections), args.fmt)
 
 
 def main(argv: list[str] | None = None) -> int:

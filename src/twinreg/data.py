@@ -11,8 +11,7 @@ engines:
 * ``adj_claims`` = av_claims / 1e6
 * ``exp_claims`` = exp(adj_claims), by ``math.exp`` per value
 * ``month_index``, ``year_index``: quarters and years since the first
-  observed date, plus one, from one integer expression over all rows;
-  :func:`encode_time` is the same encoding for a single date.
+  observed date, plus one, from one integer expression over all rows.
 """
 
 from __future__ import annotations
@@ -201,21 +200,6 @@ def load_csv(path: str) -> list[Observation]:
         return parse_csv(fh)
 
 
-def encode_time(date: datetime.date, origin: datetime.date) -> tuple[int, int]:
-    """Discrete time encoding: (quarters since origin + 1, years since origin + 1)."""
-    for d, label in ((origin, "origin"), (date, "date")):
-        if not _is_quarter_start(d):
-            raise DataError(f"{label} {d.isoformat()} is not a quarter start")
-    if date < origin:
-        raise DataError(
-            f"date {date.isoformat()} precedes origin {origin.isoformat()}"
-        )
-    quarters = (date.year - origin.year) * 4 + (
-        QUARTER_MONTHS.index(date.month) - QUARTER_MONTHS.index(origin.month)
-    )
-    return quarters + 1, date.year - origin.year + 1
-
-
 def _exp_claim(av_claims: float, date: datetime.date) -> float:
     try:
         return math.exp(av_claims / 1e6)
@@ -231,7 +215,7 @@ def apply_transforms(obs: Sequence[Observation]) -> ModelFrame:
         raise DataError("cannot build a model frame from zero observations")
     dates, loss, total_pop, ratio, aplir, ffr, av_claims = zip(*sorted(obs, key=itemgetter(0)))
     bad = next((d for d in dates if not _is_quarter_start(d)), None)
-    if bad is not None:  # the origin, dates[0], is checked first, as in encode_time
+    if bad is not None:  # the origin, dates[0], is checked first
         label = "origin" if bad == dates[0] else "date"
         raise DataError(f"{label} {bad.isoformat()} is not a quarter start")
     months = np.array([d.year * 12 + d.month - 1 for d in dates])  # since January of year 0
@@ -273,7 +257,13 @@ def aggregate_prior_month(
         raise DataError(
             f"no usable values in the month preceding {quarter_start.isoformat()}"
         )
-    return sum(vals) / len(vals)
+    mean = sum(vals) / len(vals)
+    if not math.isfinite(mean):
+        raise DataError(
+            "values too large: their sum in the month preceding "
+            f"{quarter_start.isoformat()} overflows a double"
+        )
+    return mean
 
 
 def parse_daily_csv(data: bytes | str | IO[bytes]) -> list[tuple[datetime.date, float | None]]:

@@ -80,13 +80,13 @@ def one_way_anova(
         raise DataError(
             f"ANOVA needs more observations than groups (n={n}, k={k})"
         )
-    grand = y.mean()
     ssb = 0.0
     ssw = 0.0
     # each group as one contiguous slice, its values in input order
     ys = y[np.argsort(codes, kind="stable")]
     ends = np.cumsum(np.bincount(codes)).tolist()
     with np.errstate(over="ignore", invalid="ignore"):
+        grand = y.mean()
         for start, end in zip([0, *ends], ends):
             sub = ys[start:end]
             mean = np.add.reduce(sub) / len(sub)

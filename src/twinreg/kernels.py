@@ -15,7 +15,8 @@ named algorithms alone:
                        squeeze method; inverse-gamma draws are reciprocals of
                        gamma draws.
 
-Student-t and F tails are thin wrappers over the regularized incomplete beta.
+The F tail is a thin wrapper over the regularized incomplete beta, and the
+two-sided Student-t tail is the F(1, df) tail at t**2.
 """
 
 from __future__ import annotations
@@ -92,36 +93,28 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
 
 
+def _lentz_guard(v: float) -> float:
+    # modified Lentz: a denominator that vanishes is replaced by a tiny one
+    return _CF_TINY if abs(v) < _CF_TINY else v
+
+
 def _beta_cf(a: float, b: float, x: float) -> float:
     # modified Lentz evaluation of the standard even/odd continued fraction
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
+    d = 1.0 / _lentz_guard(1.0 - qab * x / qap)
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        d = 1.0 / _lentz_guard(1.0 + aa * d)
+        c = _lentz_guard(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        d = 1.0 / _lentz_guard(1.0 + aa * d)
+        c = _lentz_guard(1.0 + aa / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
@@ -133,11 +126,7 @@ def student_t_sf2(t: float, df: float) -> float:
     """Two-sided Student-t tail P(|T| >= |t|) with df degrees of freedom."""
     if not df > 0.0:
         raise ValueError(f"student_t_sf2 requires df > 0, got {df}")
-    if t == 0.0:
-        return 1.0
-    if math.isinf(t):
-        return 0.0
-    return reg_inc_beta(0.5 * df, 0.5, df / (df + t * t))
+    return f_sf(t * t, 1.0, df)  # T**2 is F(1, df); 1.0 * f and 0.5 * 1.0 are exact
 
 
 def f_sf(f: float, df1: float, df2: float) -> float:
@@ -159,11 +148,7 @@ def chi2_sf(x: float, df: float) -> float:
         raise ValueError(f"chi2_sf requires df > 0, got {df}")
     if x < 0.0:
         raise ValueError(f"chi2_sf requires x >= 0, got {x}")
-    return _reg_gamma_q(0.5 * df, 0.5 * x)
-
-
-def _reg_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x)."""
+    a, x = 0.5 * df, 0.5 * x  # Q(a, x), the regularized upper incomplete gamma
     if x == 0.0:
         return 1.0
     if math.isinf(x):
@@ -194,13 +179,8 @@ def _gamma_q_cf(a: float, x: float) -> float:
     for i in range(1, _CF_MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = b + an / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        d = 1.0 / _lentz_guard(an * d + b)
+        c = _lentz_guard(b + an / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:

@@ -1,12 +1,14 @@
 """Combined significance verdicts and text/JSON rendering.
 
 Text tables round for display (three significant figures for the regression
-table, two decimals for the posterior table); JSON carries full precision.
+table, two decimals for the posterior table); JSON carries full precision,
+with null for a number that is not finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -19,6 +21,8 @@ from .ols import Diagnostics, OlsFit
 COMBINED_SIGNIFICANT = "significant"
 COMBINED_NOT = "not-significant"
 COMBINED_AMBIGUOUS = "ambiguous"
+
+P_THRESHOLD = 0.05  # a p-value below this is frequentist significance
 
 
 @dataclass(frozen=True)
@@ -36,12 +40,11 @@ def combined_verdict(
     fit: OlsFit,
     posts: Sequence[PosteriorSummary],
     pirope_epsilon: float = 1.0,
-    p_threshold: float = 0.05,
     no_assoc_threshold: float = 99.0,
 ) -> list[Verdict]:
     """One Verdict per regressor (intercept excluded).
 
-    significant requires both p < p_threshold and PIROPE <= pirope_epsilon;
+    significant requires both p < P_THRESHOLD and PIROPE <= pirope_epsilon;
     exactly one criterion holding yields ambiguous.  PIROPE at or above
     no_assoc_threshold additionally marks the regressor as showing no
     association.
@@ -54,30 +57,11 @@ def combined_verdict(
             f"{sorted(slope_names)} vs {sorted(by_name)}"
         )
     out = []
-    for j, name in enumerate(fit.names):
-        if j == 0:
-            continue
-        p = float(fit.p_values[j])
+    for name, p in zip(slope_names, map(float, fit.p_values[1:])):
         pr = by_name[name].pirope
-        freq = p < p_threshold
-        bayes = pr <= pirope_epsilon
-        if freq and bayes:
-            combined = COMBINED_SIGNIFICANT
-        elif freq or bayes:
-            combined = COMBINED_AMBIGUOUS
-        else:
-            combined = COMBINED_NOT
-        out.append(
-            Verdict(
-                name=name,
-                p_value=p,
-                pirope=pr,
-                freq_significant=freq,
-                bayes_significant=bayes,
-                combined=combined,
-                no_association=pr >= no_assoc_threshold,
-            )
-        )
+        freq, bayes = p < P_THRESHOLD, pr <= pirope_epsilon
+        combined = (COMBINED_NOT, COMBINED_AMBIGUOUS, COMBINED_SIGNIFICANT)[freq + bayes]
+        out.append(Verdict(name, p, pr, freq, bayes, combined, pr >= no_assoc_threshold))
     return out
 
 
@@ -88,7 +72,6 @@ class ReportSections:
     ols_fit: OlsFit | None = None
     ols_diag: Diagnostics | None = None
     bayes: list[PosteriorSummary] | None = None
-    bayes_level: float = 0.89
     verdicts: list[Verdict] | None = None
 
 
@@ -163,12 +146,13 @@ def _sections(s: ReportSections) -> Iterator[tuple[str, object, Iterable[str]]]:
         )
     if s.bayes is not None:
         keys = ("name", "median", "ci_low", "ci_high", "ci_midpoint", "pirope")
+        first = s.bayes[0] if s.bayes else None  # the level and ROPE are read from it
         bayes = {
-            "level": s.bayes_level,
-            "rope": [s.bayes[0].rope_low, s.bayes[0].rope_high] if s.bayes else None,
+            "level": first.level if first else None,
+            "rope": [first.rope_low, first.rope_high] if first else None,
             "parameters": [{k: getattr(b, k) for k in keys} for b in s.bayes],
         }
-        ci = f"{100.0 * s.bayes_level:g}% CI"
+        ci = f"{100.0 * first.level:g}% CI" if first else "CI"
         yield "bayes", bayes, chain(
             [f"== Bayesian Posterior ({ci}) ==", f"Parameter | Median | {ci} | ROPE | % in ROPE"],
             (
@@ -202,6 +186,19 @@ def render_report(sections: ReportSections, format: str = "text") -> bytes:
     if format == "text":
         return "\n".join(ln for *_, lines in parts for ln in (*lines, "")).encode("utf-8")
     if format == "json":
-        doc = {key: value for key, value, _ in parts}
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        return json_bytes({key: value for key, value, _ in parts})
     raise ValueError(f"unknown format {format!r} (expected 'text' or 'json')")
+
+
+def _finite_or_null(v):
+    """v with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(v, dict):
+        return {k: _finite_or_null(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_null(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
+def json_bytes(doc: dict) -> bytes:
+    """doc as indented, strict JSON (a non-finite float is null), UTF-8, newline-ended."""
+    return (json.dumps(_finite_or_null(doc), indent=2, allow_nan=False) + "\n").encode("utf-8")

@@ -173,12 +173,51 @@ class TestAggregate:
         assert (code, out) == (1, b"")
         assert err == "parse error: line 3: duplicate date 2011-03-01 (first seen on line 2)\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_overflowing_mean_is_one_data_error_line(self, run, tmp_path, fmt):
+        path = tmp_path / "daily.csv"
+        path.write_text("date,value\n2011-03-01,1e308\n2011-03-02,1e308\n")
+        code, out, err = run(
+            "aggregate", "--input", str(path), "--quarter-start", "2011-04-01", "--format", fmt
+        )
+        assert (code, out) == (1, b"")
+        assert err == (
+            "data error: values too large: their sum in the month preceding 2011-04-01 "
+            "overflows a double\n"
+        )
+
     def test_no_values_in_window(self, run, tmp_path):
         code, _, err = run(
             "aggregate", "--input", self.daily_csv(tmp_path), "--quarter-start", "2012-01-01"
         )
         assert code == 1
         assert err.startswith("data error:")
+
+
+class TestStrictJson:
+    """JSON output holds no NaN or Infinity token: a non-finite float is null."""
+
+    def constant_within_years(self, tmp_path):
+        rows = [
+            f"{year}-{month:02d}-01,{0.2 * (year - 2010)},300000000,0.97,3.3,0.1,3000000"
+            for year in (2011, 2012, 2013)
+            for month in (1, 4, 7, 10)
+        ]
+        return small_csv(tmp_path, rows)
+
+    @staticmethod
+    def refuse(token):
+        raise AssertionError(f"JSON output holds {token}")
+
+    def test_infinite_anova_f_is_null(self, run, tmp_path):
+        path = self.constant_within_years(tmp_path)
+        code, out, err = run("anova", "--input", path, "--group", "year", "--format", "json")
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out, parse_constant=self.refuse)["anova"]
+        assert (row["group"], row["f"], row["p"]) == ("year", None, 0.0)
+        code, out, _ = run("anova", "--input", path, "--group", "year")
+        assert code == 0
+        assert out.splitlines()[2] == b"year | inf | 2 | 9 | 0.00e+00"
 
 
 class TestUsageErrors:
@@ -412,6 +451,30 @@ class TestParser:
         args = build_parser().parse_args(["verdict", "--input", "x.csv"])
         assert args.pirope_epsilon == 1.0
         assert args.no_assoc_threshold == 99.0
+
+    BAYES = {
+        "draws": 10000, "seed": 42, "ci_level": 0.89, "hdi": False,
+        "coef_sd": None, "sigma2_shape": 1.0, "sigma2_scale": None,
+    }
+    VERDICT = {"pirope_epsilon": 1.0, "no_assoc_threshold": 99.0}
+    DEFAULTS = {
+        "describe": {},
+        "anova": {"group_key": "month"},
+        "ols": {"vif_cutoff": 10.0},
+        "bayes": BAYES,
+        "verdict": {**BAYES, **VERDICT},
+        "report": {**BAYES, **VERDICT, "vif_cutoff": 10.0},
+        "aggregate": {"quarter_start": "2011-04-01"},
+    }
+
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_every_subcommand_namespace(self, command):
+        argv = [command, "--input", "x"]
+        if command == "aggregate":
+            argv += ["--quarter-start", "2011-04-01"]
+        got = vars(build_parser().parse_args(argv))
+        assert got == {"command": command, "input": "x", "fmt": "text", **self.DEFAULTS[command]}
+        assert list(got)[3:] == list(self.DEFAULTS[command])  # flags in --help order
 
     def test_main_builds_the_parser_once_per_process(self, run, monkeypatch):
         built = []

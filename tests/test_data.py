@@ -13,12 +13,30 @@ from twinreg import (
     ParseError,
     aggregate_prior_month,
     apply_transforms,
-    encode_time,
     parse_csv,
     parse_daily_csv,
 )
 
 HEADER = "date,loss,total_pop,ratio,aplir,ffr,av_claims"
+
+QUARTER_MONTHS = (1, 4, 7, 10)
+
+
+def encode_time(date: datetime.date, origin: datetime.date) -> tuple[int, int]:
+    """One date's time encoding: (quarters since origin + 1, years since origin + 1).
+
+    The per-date oracle for the month_index and year_index columns that
+    apply_transforms computes for all rows at once.
+    """
+    for d, label in ((origin, "origin"), (date, "date")):
+        if not (d.day == 1 and d.month in QUARTER_MONTHS):
+            raise DataError(f"{label} {d.isoformat()} is not a quarter start")
+    if date < origin:
+        raise DataError(f"date {date.isoformat()} precedes origin {origin.isoformat()}")
+    quarters = (date.year - origin.year) * 4 + (
+        QUARTER_MONTHS.index(date.month) - QUARTER_MONTHS.index(origin.month)
+    )
+    return quarters + 1, date.year - origin.year + 1
 
 
 def row(d, loss="0.5", pop="300000000", ratio="0.97", aplir="3.3", ffr="0.1", claims="3000000"):

@@ -5,6 +5,7 @@ test, with p-values cross-checked against scipy's F distribution.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,12 @@ class TestSummarize:
 
 
 class TestOneWayAnova:
+    def test_overflowing_grand_mean_is_a_data_error_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr
+            with pytest.raises(DataError, match="ANOVA sums of squares overflow"):
+                one_way_anova([1e308, 1e308, -1e308, 1.0, 2.0], ["a", "a", "b", "b", "b"])
+
     def test_hand_computed_example(self):
         # A: 1,2,3 and B: 5,6,7 -> SSB=24, SSW=4, F=24
         res = one_way_anova([1, 2, 3, 5, 6, 7], ["a", "a", "a", "b", "b", "b"])

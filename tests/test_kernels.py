@@ -176,11 +176,11 @@ class TestFSf:
         assert kernels.f_sf(math.inf, 3.0, 33.0) == 0.0
 
     def test_square_of_t(self):
-        # F(1, df) upper tail at t^2 equals the two-sided t tail at t
-        for t, df in [(1.5, 12.0), (2.4, 29.0)]:
-            assert kernels.f_sf(t * t, 1.0, df) == pytest.approx(
-                kernels.student_t_sf2(t, df), rel=1e-12
-            )
+        # F(1, df) upper tail at t^2 is the two-sided t tail at t, to the bit
+        ts = (0.0, -0.0, 1e-200, 0.3, -1.5, 2.4, 7.75, 40.0, 1e154, 1e200, math.inf, -math.inf)
+        for t in ts:
+            for df in (0.5, 1.0, 2.5, 12.0, 29.0, 1e6):
+                assert kernels.student_t_sf2(t, df) == kernels.f_sf(t * t, 1.0, df), (t, df)
 
     def test_against_quadrature(self):
         for f, d1, d2 in [(4.26, 3.0, 33.0), (11.3, 9.0, 27.0), (0.7, 5.0, 20.0)]:

@@ -11,12 +11,15 @@ from twinreg import (
     ConsistencyError,
     Diagnostics,
     OlsFit,
+    PosteriorDraws,
     PosteriorSummary,
     ReportSections,
     SummaryRow,
     combined_verdict,
     render_report,
+    summarize_posterior,
 )
+from twinreg.report import P_THRESHOLD
 
 
 def crafted_fit(names, p_values):
@@ -48,6 +51,7 @@ def crafted_summary(name, pirope, median=1.0):
         ci_low=median - 1.0,
         ci_high=median + 1.0,
         ci_midpoint=median,
+        level=0.89,
         rope_low=-0.0387,
         rope_high=0.0387,
         pirope=pirope,
@@ -85,9 +89,19 @@ class TestCombinedVerdict:
         assert out[3].no_association is True
 
     def test_configurable_thresholds(self):
-        fit, posts = self.build([0.08, 0.2, 0.2, 0.2], [4.0, 0.1, 0.1, 0.1])
-        out = combined_verdict(fit, posts, pirope_epsilon=5.0, p_threshold=0.1)
-        assert out[0].combined == "significant"
+        fit, posts = self.build([0.01, 0.2, 0.01, 0.2], [4.0, 4.0, 60.0, 60.0])
+        out = combined_verdict(fit, posts, pirope_epsilon=5.0, no_assoc_threshold=60.0)
+        assert [v.combined for v in out] == [
+            "significant", "ambiguous", "ambiguous", "not-significant",
+        ]
+        assert [v.no_association for v in out] == [False, False, True, True]
+        assert [v.no_association for v in combined_verdict(fit, posts)] == [False] * 4
+
+    def test_p_threshold_is_fixed_at_five_percent(self):
+        assert P_THRESHOLD == 0.05
+        fit, posts = self.build([0.08] * 4, [0.0] * 4)
+        with pytest.raises(TypeError):
+            combined_verdict(fit, posts, p_threshold=0.1)
 
     def test_intercept_is_excluded(self):
         fit, posts = self.build([0.01] * 4, [0.0] * 4)
@@ -239,6 +253,39 @@ class TestSectionWalk:
             assert ("diagnostics" in doc.get("ols", {})) == has_diag, s
             assert ("\ndiagnostics: BP " in text) == has_diag, s
 
+    def test_empty_posterior_names_no_level(self):
+        s = ReportSections(bayes=[])
+        assert render_report(s, "text") == (
+            b"== Bayesian Posterior (CI) ==\n"
+            b"Parameter | Median | CI | ROPE | % in ROPE\n"
+        )
+        doc = json.loads(render_report(s, "json"))
+        assert doc == {"bayes": {"level": None, "rope": None, "parameters": []}}
+
     def test_no_sections_render_nothing(self):
         assert render_report(ReportSections(), "text") == b""
         assert render_report(ReportSections(), "json") == b"{}\n"
+
+
+class TestCredibleLevel:
+    """The posterior header names the level the intervals were computed at."""
+
+    def summaries(self, level):
+        rng = np.random.default_rng(3)
+        post = PosteriorDraws(
+            beta=np.asfortranarray(rng.normal(size=(2000, 2))),
+            sigma2=np.ones(2000),
+            names=("(Intercept)", "a"),
+        )
+        return summarize_posterior(post, rng.normal(size=40), level=level)
+
+    @pytest.mark.parametrize("level, title", [(0.5, "50% CI"), (0.95, "95% CI"), (0.89, "89% CI")])
+    def test_header_reads_the_summaries_level(self, level, title):
+        s = ReportSections(bayes=self.summaries(level))
+        assert all(b.level == level for b in s.bayes)
+        text = render_report(s, "text").decode().splitlines()
+        assert text[:2] == [
+            f"== Bayesian Posterior ({title}) ==",
+            f"Parameter | Median | {title} | ROPE | % in ROPE",
+        ]
+        assert json.loads(render_report(s, "json"))["bayes"]["level"] == level
