@@ -19,7 +19,7 @@ from .data import (
     Observation,
     aggregate_prior_month,
     apply_transforms,
-    load_csv,
+    load_frame,
     parse_csv,
     parse_daily_csv,
 )

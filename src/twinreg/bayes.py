@@ -57,10 +57,9 @@ class PriorSpec:
             )
         if not (self.coef_sd > 0).all():
             raise DataError("prior coefficient sds must be strictly positive")
-        if self.sigma2_shape <= 0:
-            raise DataError("sigma2 prior shape must be strictly positive")
-        if self.sigma2_scale is not None and self.sigma2_scale <= 0:
-            raise DataError("sigma2 prior scale must be strictly positive")
+        for what, v in (("shape", self.sigma2_shape), ("scale", self.sigma2_scale)):
+            if v is not None and not 0 < v < math.inf:
+                raise DataError(f"sigma2 prior {what} must be finite and positive, got {v}")
 
 
 @dataclass

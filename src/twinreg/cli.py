@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import sys
 from functools import cache, cached_property
 
@@ -20,6 +21,7 @@ ERROR_PREFIXES = {
     OSError: "input error",
     ConvergenceError: "numeric error",
     ValueError: "numeric error",
+    MemoryError: "memory error",
 }
 
 
@@ -113,6 +115,8 @@ def _check_ranges(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"--ci-level must lie in (0, 1), got {args.ci_level}")
     if "pirope_epsilon" in args and not 0.0 <= args.pirope_epsilon <= 100.0:
         parser.error(f"--pirope-epsilon must lie in [0, 100], got {args.pirope_epsilon}")
+    if "vif_cutoff" in args and math.isnan(args.vif_cutoff):
+        parser.error("--vif-cutoff must be a number or inf, got nan")
 
 
 class _Stages:
@@ -123,7 +127,7 @@ class _Stages:
 
     @cached_property
     def frame(self) -> data.ModelFrame:
-        return data.apply_transforms(data.load_csv(self.args.input))
+        return data.load_frame(self.args.input)
 
     @cached_property
     def design(self) -> ols.DesignMatrix:

@@ -195,11 +195,6 @@ def parse_csv(data: bytes | str | IO[bytes]) -> list[Observation]:
     return out
 
 
-def load_csv(path: str) -> list[Observation]:
-    with open(path, "rb") as fh:
-        return parse_csv(fh)
-
-
 def _exp_claim(av_claims: float, date: datetime.date) -> float:
     try:
         return math.exp(av_claims / 1e6)
@@ -219,7 +214,7 @@ def apply_transforms(obs: Sequence[Observation]) -> ModelFrame:
         label = "origin" if bad == dates[0] else "date"
         raise DataError(f"{label} {bad.isoformat()} is not a quarter start")
     months = np.array([d.year * 12 + d.month - 1 for d in dates])  # since January of year 0
-    return ModelFrame(
+    frame = ModelFrame(
         dates=dates,
         month_index=(months - months[0]) // 3 + 1,
         year_index=months // 12 - months[0] // 12 + 1,
@@ -230,6 +225,30 @@ def apply_transforms(obs: Sequence[Observation]) -> ModelFrame:
         exp_claims=np.array([_exp_claim(c, d) for c, d in zip(av_claims, dates)]),
         loss=np.array(loss),
     )
+    for column in vars(frame).values():  # read-only, so one frame can be shared
+        if isinstance(column, np.ndarray):
+            column.flags.writeable = False
+    return frame
+
+
+# the last input that loaded without error: its bytes and its frame
+_last_loaded: tuple[bytes, ModelFrame] | None = None
+
+
+def load_frame(path: str) -> ModelFrame:
+    """The ModelFrame of the quarterly CSV at ``path``.
+
+    The last input that loaded without error is kept, keyed by its full
+    bytes, so loading unchanged bytes again returns the same read-only frame
+    without parsing; any other bytes are parsed and checked afresh.
+    """
+    global _last_loaded
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    last = _last_loaded
+    if last is None or last[0] != raw:
+        last = _last_loaded = raw, apply_transforms(parse_csv(raw))
+    return last[1]
 
 
 def _prior_month(quarter_start: datetime.date) -> tuple[int, int]:

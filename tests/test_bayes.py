@@ -5,6 +5,7 @@ flat-prior limit must land on the least-squares solution.  Interval helpers
 get brute-force oracles built inside the tests.
 """
 
+import math
 import threading
 import tracemalloc
 
@@ -89,6 +90,15 @@ class TestDefaultPrior:
         prior = default_prior(d)
         prior.sigma2_shape = -1.0
         with pytest.raises(DataError):
+            prior.validate(d.p)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("what", ["shape", "scale"])
+    def test_validate_rejects_non_finite_sigma2(self, what, value):
+        d = make_design()
+        prior = default_prior(d)
+        setattr(prior, f"sigma2_{what}", value)
+        with pytest.raises(DataError, match=f"^sigma2 prior {what} must be finite and positive"):
             prior.validate(d.p)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinreg import kernels
+from twinreg import data, kernels
 from twinreg.cli import build_parser, main
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv")
@@ -251,6 +251,20 @@ class TestUsageErrors:
         code, _, _ = run("verdict", "--input", FIXTURE, "--pirope-epsilon", "150")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["ols", "report"])
+    def test_nan_vif_cutoff(self, run, command):
+        # vif >= nan is never true, so a nan cutoff would drop every advisory
+        code, out, err = run(command, "--input", FIXTURE, "--vif-cutoff", "nan")
+        assert (code, out) == (2, b"")
+        assert err.splitlines()[-1].endswith("--vif-cutoff must be a number or inf, got nan")
+
+    def test_inf_vif_cutoff_flags_no_multicollinearity(self, run):
+        advisory = b"advisory: multicollinearity: VIF 2889.6 for AdjPop exceeds 10"
+        assert advisory in run("ols", "--input", FIXTURE)[1]
+        code, out, err = run("ols", "--input", FIXTURE, "--vif-cutoff", "inf")
+        assert (code, err) == (0, "")
+        assert b"multicollinearity" not in out
+
 
 class TestFailureExitCodes:
     def test_missing_file(self, run):
@@ -410,6 +424,21 @@ class TestFailureExitCodes:
         assert code == 1
         assert err.startswith("data error:")
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("what", ["shape", "scale"])
+    def test_non_finite_sigma2_prior_is_named(self, run, what, value):
+        code, out, err = run("bayes", "--input", FIXTURE, f"--sigma2-{what}", value)
+        assert (code, out) == (1, b"")
+        assert err == f"data error: sigma2 prior {what} must be finite and positive, got {value}\n"
+
+    def test_draws_beyond_memory_is_one_memory_error_line(self, run):
+        # 8 PB of sigma2 draws exceeds the x86-64 user address space, so the
+        # first allocation fails at once without touching memory
+        code, out, err = run("bayes", "--input", FIXTURE, "--draws", "1000000000000000")
+        assert (code, out) == (1, b"")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("memory error: ")
+
     def test_non_convergence_is_numeric_error(self, run, monkeypatch):
         # one iteration is too few for any continued fraction on the fixture
         monkeypatch.setattr(kernels, "_CF_MAX_ITER", 1)
@@ -436,6 +465,37 @@ class TestPipeline:
         code, _, _ = run(command, "--input", FIXTURE, "--format", "json")
         assert code == 0
         assert len(calls) == 1
+
+
+class TestRepeatedInput:
+    """cli.main keeps the last good input's frame, keyed by the file's bytes."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_kept(self, monkeypatch):
+        monkeypatch.setattr(data, "_last_loaded", None)
+
+    def test_rewritten_file_prints_the_new_report(self, run, tmp_path):
+        lines = Path(FIXTURE).read_text().splitlines()
+        path = small_csv(tmp_path, lines[1:])
+        first = run("describe", "--input", path)
+        # the same length, so only the bytes themselves tell the files apart
+        edited = lines[1].replace(",0.", ",9.", 1)
+        assert edited != lines[1] and len(edited) == len(lines[1])
+        small_csv(tmp_path, [edited, *lines[2:]])
+        second = run("describe", "--input", path)
+        assert first[0] == second[0] == 0
+        assert first[1] != second[1]
+        small_csv(tmp_path, lines[1:])
+        assert run("describe", "--input", path) == first
+
+    def test_parse_error_between_good_calls(self, run, tmp_path):
+        good = ["ols", "--input", FIXTURE, "--format", "json"]
+        bad = ["ols", "--input", small_csv(tmp_path, ["2011-04-01,x,1,1,1,1,1"])]
+        want = run(*good)
+        assert want[0] == 0
+        for _ in range(2):
+            assert run(*bad) == (1, b"", "parse error: line 2: non-numeric loss field 'x'\n")
+            assert run(*good) == want
 
 
 class TestParser:

@@ -1,8 +1,10 @@
 """Tests for CSV ingestion, quarterly transforms, and the daily aggregator."""
 
 import datetime
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from twinreg import (
     ParseError,
     aggregate_prior_month,
     apply_transforms,
+    data,
+    load_frame,
     parse_csv,
     parse_daily_csv,
 )
@@ -200,6 +204,55 @@ class TestEncodeTime:
             encode_time(datetime.date(2011, 5, 1), datetime.date(2011, 4, 1))
         with pytest.raises(DataError):
             encode_time(datetime.date(2011, 7, 1), datetime.date(2011, 4, 2))
+
+
+class TestLoadFrame:
+    COLUMNS = (
+        "month_index", "year_index", "adj_pop", "ratio", "aplir", "ffr", "exp_claims", "loss",
+    )
+
+    @pytest.fixture(autouse=True)
+    def nothing_kept(self, monkeypatch):
+        monkeypatch.setattr(data, "_last_loaded", None)
+
+    def write(self, tmp_path, *rows, name="in.csv"):
+        path = tmp_path / name
+        path.write_bytes(make_csv(*rows))
+        return str(path)
+
+    def test_frame_is_read_only_on_first_load_and_on_a_hit(self, tmp_path):
+        rows = row("2011-04-01"), row("2011-07-01", loss="0.9")
+        path = self.write(tmp_path, *rows)
+        first = load_frame(path)
+        assert load_frame(path) is first
+        want = apply_transforms(parse_csv(make_csv(*rows)))
+        for name in self.COLUMNS:
+            column = getattr(first, name)
+            assert np.array_equal(column, getattr(want, name))
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(want, name)[0] = 0
+
+    def test_one_entry_only(self, tmp_path):
+        first = load_frame(self.write(tmp_path, row("2011-04-01"), row("2011-07-01")))
+        ref = weakref.ref(first)
+        del first
+        load_frame(self.write(tmp_path, row("2011-04-01"), name="other.csv"))
+        gc.collect()
+        assert ref() is None
+
+    def test_failed_load_keeps_the_last_good_frame(self, tmp_path, monkeypatch):
+        good = self.write(tmp_path, row("2011-04-01"), row("2011-07-01"))
+        bad = self.write(tmp_path, row("2011-04-01"), row("2011-07-01", claims="1e12"), name="x")
+        first = load_frame(good)
+        parsed = []
+        monkeypatch.setattr(data, "parse_csv", lambda raw: parsed.append(raw) or parse_csv(raw))
+        for _ in range(2):
+            with pytest.raises(DataError, match="overflows exp"):
+                load_frame(bad)
+            assert load_frame(good) is first
+        assert len(parsed) == 2  # the bad input, on each call
 
 
 class TestApplyTransforms:

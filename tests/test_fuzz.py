@@ -3,9 +3,10 @@
 Each example mutates the fixture CSV (empty cells, extreme and non-finite
 numbers, duplicate, unsorted and off-quarter dates, a byte-order mark, CRLF
 or CR-only line ends, bytes that are not UTF-8, extra and missing columns)
-and runs one subcommand on it in-process.  The run must exit 0 with output
-and a silent stderr, or exit 1 or 2 with no output and exactly one stderr
-line that starts with a prefix the README documents.
+and runs one subcommand on it in-process, twice.  The run must exit 0 with
+output and a silent stderr, or exit 1 or 2 with no output and exactly one
+stderr line that starts with a prefix the README documents.  The second run,
+which may reuse the kept frame of the first, must give the same result.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ DOCUMENTED_PREFIXES = (
     "input error: ",
     "numeric error: ",
     "consistency error: ",
+    "memory error: ",
 )
 
 COMMANDS = (
@@ -122,6 +124,7 @@ def test_every_input_yields_output_or_one_typed_line(workdir, data, command):
     path = workdir / "input.csv"
     path.write_bytes(data)
     code, out, err = run_main([*command, "--input", str(path)])
+    assert run_main([*command, "--input", str(path)]) == (code, out, err)
     assert code in (0, 1, 2)
     if code == 0:
         assert out and err == ""

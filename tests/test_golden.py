@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from twinreg import data
 from twinreg.cli import main
 
 ROOT = Path(__file__).resolve().parent
@@ -34,6 +35,20 @@ def test_stdout_matches_golden(case, fmt, capfdbinary):
     cap = capfdbinary.readouterr()
     assert (code, cap.err) == (0, b"")
     assert cap.out == (ROOT / "golden" / f"{case}_{fmt}.out").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("case", list(CASES))
+def test_each_case_twice_parses_once(case, fmt, capfdbinary, monkeypatch):
+    parsed = []
+    parse_csv = data.parse_csv
+    monkeypatch.setattr(data, "_last_loaded", None)
+    monkeypatch.setattr(data, "parse_csv", lambda raw: parsed.append(1) or parse_csv(raw))
+    golden = (ROOT / "golden" / f"{case}_{fmt}.out").read_bytes()
+    for _ in range(2):
+        assert main([*CASES[case], "--input", FIXTURE, "--format", fmt]) == 0
+        assert capfdbinary.readouterr() == (golden, b"")
+    assert len(parsed) == 1
 
 
 def test_one_process_runs_errors_then_every_case(tmp_path, capfdbinary):
