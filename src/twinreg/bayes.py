@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .kernels import RandomSource, median_of_sorted, run_parallel, worker_count
+from .kernels import SQUARES_MIN, RandomSource, median_of_sorted, run_parallel, worker_count
 from .ols import DesignMatrix, OlsFit
 
 
@@ -123,11 +123,13 @@ def default_prior(
 
 
 def _sd(x: np.ndarray, what: str) -> float:
-    """Sample sd of x (n-1 denominator); a typed error if its squares overflow."""
+    """Sample sd of x (n-1 denominator); a typed error if its squares over- or underflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(np.std(x, ddof=1))
     if not math.isfinite(sd):
         raise DataError(f"{what} too large: its variance overflows a double")
+    if sd * sd < SQUARES_MIN and x.min() < x.max():
+        raise DataError(f"{what} too small: its variance underflows a double")
     return sd
 
 
@@ -248,9 +250,7 @@ def hdi_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     n = len(x)
-    m = int(math.ceil(level * n))
-    if m >= n:
-        return float(x[0]), float(x[-1])
+    m = int(math.ceil(level * n))  # level < 1, so m <= n: one window at m = n
     widths = x[m - 1 :] - x[: n - m + 1]
     k = int(np.argmin(widths))
     return float(x[k]), float(x[k + m - 1])

@@ -115,6 +115,8 @@ def _check_ranges(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error(f"--ci-level must lie in (0, 1), got {args.ci_level}")
     if "pirope_epsilon" in args and not 0.0 <= args.pirope_epsilon <= 100.0:
         parser.error(f"--pirope-epsilon must lie in [0, 100], got {args.pirope_epsilon}")
+    if "no_assoc_threshold" in args and not 0.0 <= args.no_assoc_threshold <= 100.0:
+        parser.error(f"--no-assoc-threshold must lie in [0, 100], got {args.no_assoc_threshold}")
     if "vif_cutoff" in args and math.isnan(args.vif_cutoff):
         parser.error("--vif-cutoff must be a number or inf, got nan")
 

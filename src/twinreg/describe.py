@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import ModelFrame
 from .errors import DataError
-from .kernels import f_sf, median_of_sorted
+from .kernels import SQUARES_MIN, f_sf, median_of_sorted
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,8 @@ def summarize(frame: ModelFrame) -> list[SummaryRow]:
     for r in rows:
         if not (math.isfinite(r.mean) and math.isfinite(r.sd) and math.isfinite(r.median)):
             raise DataError(f"{r.name} too large: its mean, sd or median overflows a double")
+        if r.sd * r.sd < SQUARES_MIN and r.min < r.max:
+            raise DataError(f"{r.name} too small: its variance underflows a double")
     return rows
 
 
@@ -94,6 +96,8 @@ def one_way_anova(
             ssw += float(np.add.reduce(np.square(sub - mean)))
     if not (math.isfinite(ssb) and math.isfinite(ssw)):
         raise DataError(f"values too large: the {label} ANOVA sums of squares overflow a double")
+    if ssb + ssw < SQUARES_MIN and y.min() < y.max():
+        raise DataError(f"values too small: the {label} ANOVA sums of squares underflow a double")
     msb = ssb / (k - 1)
     msw = ssw / (n - k)
     if msw == 0.0:

@@ -11,9 +11,9 @@ named algorithms alone:
 * ``chi2_sf``       -- regularized incomplete gamma: power series on the left,
                        Lentz continued fraction on the right.
 * ``RandomSource``  -- splitmix64 (Steele/Lea/Flood counter-based generator,
-                       64-bit seed).  Gamma variates use the Marsaglia-Tsang
-                       squeeze method; inverse-gamma draws are reciprocals of
-                       gamma draws.
+                       64-bit seed).  Gamma variates use Marsaglia-Tsang
+                       rejection with the exact log test alone, no squeeze;
+                       inverse-gamma draws are reciprocals of gamma draws.
 
 The F tail is a thin wrapper over the regularized incomplete beta, and the
 two-sided Student-t tail is the F(1, df) tail at t**2.
@@ -135,10 +135,7 @@ def f_sf(f: float, df1: float, df2: float) -> float:
         raise ValueError(f"f_sf requires positive df, got df1={df1}, df2={df2}")
     if f < 0.0:
         raise ValueError(f"f_sf requires f >= 0, got {f}")
-    if f == 0.0:
-        return 1.0
-    if math.isinf(f):
-        return 0.0
+    # f = 0 and f = inf give x = 1 and x = 0, where reg_inc_beta is exact
     return reg_inc_beta(0.5 * df2, 0.5 * df1, df2 / (df2 + df1 * f))
 
 
@@ -186,6 +183,13 @@ def _gamma_q_cf(a: float, x: float) -> float:
         if abs(delta - 1.0) < _CF_EPS:
             return h * math.exp(-x + a * math.log(x) - ln_gamma(a))
     raise ConvergenceError(f"incomplete gamma fraction did not converge for a={a}, x={x}")
+
+
+# The smallest sum or mean of squares accepted from values that are not all
+# equal, 2**52 times the smallest normal double: below it a term may be
+# subnormal and lose bits, so the same data scaled by a power of two would
+# not give the same results scaled.
+SQUARES_MIN = 2.0**-970
 
 
 def median_of_sorted(x: np.ndarray) -> float:
@@ -345,15 +349,10 @@ def _marsaglia_tsang_into(dst: np.ndarray, x: np.ndarray, u: np.ndarray, c: floa
     for a in range(0, len(x), _SLICE):
         xs, us = x[a : a + _SLICE], u[a : a + _SLICE]
         v = (1.0 + c * xs) ** 3
-        pos = v > 0.0
+        # where v <= 0, log(v) is nan or -inf, so the test refuses
         with np.errstate(divide="ignore", invalid="ignore"):
-            slow = np.log(us) < 0.5 * xs**2 + d - d * v + d * np.log(np.where(pos, v, 1.0))
-        acc = accept[a : a + _SLICE]
-        np.logical_and(pos, slow, out=acc)
-        # the squeeze can only add candidates the exact test refused; x**4
-        # is costly on negative x, so it runs on those few alone
-        late = np.flatnonzero(pos & ~slow)
-        acc[late] = us[late] < 1.0 - 0.0331 * xs[late] ** 4
+            rhs = 0.5 * xs**2 + d - d * v + d * np.log(v)
+            np.less(np.log(us), rhs, out=accept[a : a + _SLICE])
         np.multiply(d, v, out=dst[a : a + _SLICE])
     return accept
 

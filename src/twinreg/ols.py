@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import ModelFrame
 from .errors import DataError, SingularDesignError
-from .kernels import chi2_sf, student_t_sf2
+from .kernels import SQUARES_MIN, chi2_sf, student_t_sf2
 
 INTERCEPT_NAME = "(Intercept)"
 
@@ -132,10 +132,10 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
         raise DataError(f"response is constant ({float(y[0])!r}); there is nothing to explain")
 
     Q, R = _factor(X, d.names)
-    r_inv = np.linalg.solve(R, np.eye(p))
-    xtx_inv_diag = np.sum(r_inv * r_inv, axis=1)
     df_resid = n - p
     with np.errstate(over="ignore", invalid="ignore"):
+        r_inv = np.linalg.solve(R, np.eye(p))
+        xtx_inv_diag = np.sum(r_inv * r_inv, axis=1)
         beta = _back_substitute(Q, R, y)
         fitted = X @ beta
         resid = y - fitted
@@ -143,9 +143,19 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
         sst = float(np.sum((y - y.mean()) ** 2))
         sigma2 = rss / df_resid
         se = np.sqrt(sigma2 * xtx_inv_diag)
+    # a tiny R_jj can blow up row j of R^-1 and the rows above it, never the
+    # rows below, so the last non-finite entry names the column
+    over = np.flatnonzero(~np.isfinite(xtx_inv_diag))
+    if over.size:
+        raise DataError(
+            f"regressor {d.names[over[-1]]!r} too small: "
+            "the inverse of its sum of squares overflows a double"
+        )
     # a finite se needs a finite rss; sst is the largest sum of squares
     if not (math.isfinite(sst) and np.isfinite(se).all()):
         raise DataError("response too large: its sums of squares overflow a double")
+    if sst < SQUARES_MIN or (rss < SQUARES_MIN and resid.any()):
+        raise DataError("response too small: its sums of squares underflow a double")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = beta / se
@@ -199,6 +209,8 @@ def diagnostics(d: DesignMatrix, fit: OlsFit, vif_cutoff: float = 10.0) -> Diagn
         diff2 = float(np.sum(np.diff(e) ** 2))
     if not all(math.isfinite(v) for v in (rss2, tss2, m2, m3, m4, diff2)):
         raise DataError("residuals too large: their squares or fourth powers overflow a double")
+    if m4 < SQUARES_MIN and ec.any():
+        raise DataError("residuals too small: their fourth powers underflow a double")
 
     # Breusch-Pagan LM: n times the R^2 of e^2 regressed on the full design
     bp_stat = n * (1.0 - rss2 / tss2) if tss2 > 0.0 else 0.0

@@ -248,6 +248,11 @@ class TestHdiInterval:
         with pytest.raises(ValueError):
             hdi_interval(np.arange(50.0), 0.89)
 
+    def test_level_that_needs_every_draw_spans_them_all(self):
+        x = np.random.default_rng(12).permutation(np.linspace(-3.0, 5.0, 100))
+        assert math.ceil(0.995 * len(x)) == len(x)
+        assert hdi_interval(x, 0.995) == (-3.0, 5.0)
+
 
 class TestPirope:
     def test_hand_computed_fraction(self):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,26 @@ class TestUsageErrors:
         code, _, _ = run("verdict", "--input", FIXTURE, "--pirope-epsilon", "150")
         assert code == 2
 
+    # pirope >= nan is never true and pirope >= -5 always is
+    @pytest.mark.parametrize("command", ["verdict", "report"])
+    @pytest.mark.parametrize("value", ["nan", "-5", "100.5"])
+    def test_no_assoc_threshold_outside_0_100(self, run, command, value):
+        code, out, err = run(
+            command, "--input", FIXTURE, "--draws", "1000", "--no-assoc-threshold", value
+        )
+        assert (code, out) == (2, b"")
+        want = f"--no-assoc-threshold must lie in [0, 100], got {float(value)}"
+        assert err.splitlines()[-1].endswith(want)
+
+    @pytest.mark.parametrize("value", ["0", "100"])
+    def test_no_assoc_threshold_at_its_bounds(self, run, value):
+        code, out, err = run(
+            "verdict", "--input", FIXTURE, "--format", "json", "--no-assoc-threshold", value
+        )
+        assert (code, err) == (0, "")
+        flags = {v["no_association"] for v in json.loads(out)["verdict"]}
+        assert flags == {value == "0"}
+
     @pytest.mark.parametrize("command", ["ols", "report"])
     def test_nan_vif_cutoff(self, run, command):
         # vif >= nan is never true, so a nan cutoff would drop every advisory
@@ -418,6 +439,19 @@ class TestFailureExitCodes:
         assert out == b""
         assert len(err.splitlines()) == 1
         assert err.startswith("data error: regressor 'AdjPop' too large:")
+
+    # AdjPop's squares underflow, so both the fit's (X'X)^-1 and the prior's
+    # variance of that column name it as too small
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["ols", "bayes", "verdict", "report"])
+    def test_tiny_population_is_named(self, run, tmp_path, command):
+        lines = Path(FIXTURE).read_text().splitlines()
+        rows = [",".join([f[0], f[1], repr(math.ldexp(float(f[2]), -1000)), *f[3:]])
+                for f in (ln.split(",") for ln in lines[1:])]
+        code, out, err = run(command, "--input", small_csv(tmp_path, rows))
+        assert (code, out) == (1, b"")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: regressor 'AdjPop' too small:")
 
     def test_bad_sigma2_scale_is_data_error(self, run):
         code, _, err = run("bayes", "--input", FIXTURE, "--sigma2-scale", "-1")

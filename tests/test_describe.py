@@ -135,6 +135,12 @@ class TestOneWayAnova:
         assert res.f_stat == 0.0
         assert res.p_value == 1.0
 
+    def test_values_whose_squares_underflow_are_refused(self):
+        with pytest.raises(DataError, match="too small: the group ANOVA sums of squares"):
+            one_way_anova([1e-300, 2e-300, 1e-300, 3e-300], ["a", "a", "b", "b"])
+        res = one_way_anova([1e-300] * 4, ["a", "a", "b", "b"])  # constant, however small
+        assert (res.f_stat, res.p_value) == (0.0, 1.0)
+
     def test_single_group_rejected(self):
         with pytest.raises(DataError):
             one_way_anova([1, 2, 3], ["a", "a", "a"])

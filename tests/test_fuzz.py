@@ -1,8 +1,9 @@
 """Property-based fuzz of the CLI: every input yields a report or one typed line.
 
 Each example mutates the fixture CSV (empty cells, extreme and non-finite
-numbers, duplicate, unsorted and off-quarter dates, a byte-order mark, CRLF
-or CR-only line ends, bytes that are not UTF-8, extra and missing columns)
+numbers, a whole numeric column scaled by a power of two, duplicate,
+unsorted and off-quarter dates, a byte-order mark, CRLF or CR-only line
+ends, bytes that are not UTF-8, extra and missing columns)
 and runs one subcommand on it in-process, twice.  The run must exit 0 with
 output and a silent stderr, or exit 1 or 2 with no output and exactly one
 stderr line that starts with a prefix the README documents.  The second run,
@@ -58,22 +59,41 @@ dates = st.one_of(
 )
 
 
+# 2**k for a whole column: from the smallest subnormal to past the overflow
+# of squares, with the powers where sums underflow drawn often
+scales = st.one_of(
+    st.sampled_from((-1074, -1000, -540, -300, 900)).map(lambda k: 2.0**k),
+    st.integers(-1074, 900).map(lambda k: 2.0**k),
+)
+
 EDITS = (
-    "empty", "number", "date", "duplicate", "extra", "missing", "shuffle",
+    "empty", "number", "scale", "date", "duplicate", "extra", "missing", "shuffle",
     "header", "crlf", "cr", "bom", "non-utf8",
 )
 
 
+def scale_cell(cell: str, factor: float) -> str:
+    try:
+        return repr(float(cell) * factor)  # exact, bar underflow and overflow
+    except ValueError:
+        return cell  # a date, or a cell an earlier edit made non-numeric
+
+
 @st.composite
-def mutated_csv(draw) -> bytes:
+def mutated_csv(draw, pool=EDITS) -> bytes:
     header, rows, end = list(HEADER), [list(r) for r in ROWS], "\n"
-    edits = draw(st.lists(st.sampled_from(EDITS), max_size=5))
+    edits = draw(st.lists(st.sampled_from(pool), max_size=5))
     for edit in edits:
         row = rows[draw(st.integers(0, len(rows) - 1))]
         if edit == "empty":
             row[draw(st.integers(0, len(row) - 1))] = ""
         elif edit == "number" and len(row) > 1:
             row[draw(st.integers(1, len(row) - 1))] = draw(numbers)
+        elif edit == "scale":
+            col, factor = draw(st.integers(1, len(HEADER) - 1)), draw(scales)
+            for r in rows:
+                if col < len(r):
+                    r[col] = scale_cell(r[col], factor)
         elif edit == "date":
             row[0] = draw(dates)
         elif edit == "duplicate":
@@ -111,16 +131,33 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def fuzz(max_examples):
+    return settings(
+        max_examples=max_examples,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy warnings are extra stderr lines
-@settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@fuzz(max_examples=150)
 @given(data=mutated_csv(), command=st.sampled_from(COMMANDS))
 def test_every_input_yields_output_or_one_typed_line(workdir, data, command):
+    check_two_runs(workdir, data, command)
+
+
+# among all edits, whole-column scales are too rare to reach every stage
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@fuzz(max_examples=60)
+@given(data=mutated_csv(("scale",)), command=st.sampled_from(COMMANDS))
+def test_scaled_columns_yield_output_or_one_typed_line(workdir, data, command):
+    check_two_runs(workdir, data, command)
+
+
+def check_two_runs(workdir, data, command):
+    """Output and a silent stderr, or no output and one typed line; the same twice."""
     path = workdir / "input.csv"
     path.write_bytes(data)
     code, out, err = run_main([*command, "--input", str(path)])

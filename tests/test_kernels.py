@@ -170,10 +170,39 @@ class TestStudentTSf2:
             kernels.student_t_sf2(1.0, 0.0)
 
 
+def f_sf_with_endpoint_returns(f: float, df1: float, df2: float) -> float:
+    """f_sf as written with early returns at f = 0 and f = inf, the oracle."""
+    if not (df1 > 0.0 and df2 > 0.0):
+        raise ValueError(f"f_sf requires positive df, got df1={df1}, df2={df2}")
+    if f < 0.0:
+        raise ValueError(f"f_sf requires f >= 0, got {f}")
+    if f == 0.0:
+        return 1.0
+    if math.isinf(f):
+        return 0.0
+    return kernels.reg_inc_beta(0.5 * df2, 0.5 * df1, df2 / (df2 + df1 * f))
+
+
+def outcome(fn, *args):
+    """fn(*args) as its float.hex, or its exception's type and message."""
+    try:
+        return fn(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestFSf:
     def test_limits(self):
         assert kernels.f_sf(0.0, 3.0, 33.0) == 1.0
         assert kernels.f_sf(math.inf, 3.0, 33.0) == 0.0
+
+    def test_same_bits_as_the_endpoint_returns(self):
+        dfs = (1e-3, 0.5, 1.0, 2.5, 29.0, 1e3, 1e7)
+        for f in (0.0, -0.0, 5e-324, 1.0, 1e308, math.inf, math.nan):
+            for df1 in dfs:
+                for df2 in dfs:
+                    want = outcome(f_sf_with_endpoint_returns, f, df1, df2)
+                    assert outcome(kernels.f_sf, f, df1, df2) == want, (f, df1, df2)
 
     def test_square_of_t(self):
         # F(1, df) upper tail at t^2 is the two-sided t tail at t, to the bit
@@ -270,6 +299,35 @@ SEED42_VECTORS = {
          "0x1.7e1d08e1e9c82p+1", "0x1.b01cc2bfea77ep-1"],
     ),
 }
+
+
+def marsaglia_tsang_round_with_squeeze(x, u, c, d):
+    """One whole-array rejection round with the v > 0 mask and the squeeze
+    u < 1 - 0.0331 x**4 beside the exact log test, the oracle."""
+    v = (1.0 + c * x) ** 3
+    pos = v > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exact = np.log(u) < 0.5 * x**2 + d - d * v + d * np.log(np.where(pos, v, 1.0))
+    squeeze = u < 1.0 - 0.0331 * x**4
+    return pos & (exact | squeeze), d * v
+
+
+class TestMarsagliaTsangRound:
+    # 1.3 is the boosted alpha of shape 0.3; 1 reaches v <= 0 (x <= -sqrt(6))
+    @pytest.mark.parametrize("alpha", [1.3, 1.0, 19.5])
+    def test_same_mask_and_dv_as_with_squeeze(self, alpha):
+        n = 1_000_000
+        d = alpha - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        rs = kernels.RandomSource(int(alpha * 10))
+        x, u = rs.normals(n), rs.uniforms(n)
+        want_accept, want_dv = marsaglia_tsang_round_with_squeeze(x, u, c, d)
+        dv = np.empty(n)
+        accept = kernels._marsaglia_tsang_into(dv, x, u, c, d)
+        assert np.array_equal(accept, want_accept)
+        assert np.array_equal(dv.view(np.uint64), want_dv.view(np.uint64))
+        if alpha == 1.0:
+            assert (1.0 + c * x <= 0.0).any()
 
 
 class TestRandomSource:

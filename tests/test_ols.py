@@ -194,6 +194,19 @@ class TestFitOls:
         with pytest.raises(DataError, match="constant"):
             fit_ols(DesignMatrix(X=d.X, y=np.full(37, level), names=d.names))
 
+    def test_near_exact_fit_whose_residual_squares_underflow_is_refused(self):
+        # sst stays far above the subnormal range at 2**-480, rss does not:
+        # unrefused, a t statistic there differs from the unscaled fit's
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.ones(40), np.arange(40.0), rng.normal(size=40)])
+        y = X @ np.array([1.0, 0.5, -2.0]) + 1e-9 * rng.normal(size=40)
+        names = ("(Intercept)", "a", "b")
+        base = fit_ols(DesignMatrix(X=X, y=y, names=names))
+        scaled = fit_ols(DesignMatrix(X=X, y=np.ldexp(y, -440), names=names))
+        assert np.array_equal(scaled.t_stats, base.t_stats)
+        with pytest.raises(DataError, match="response too small"):
+            fit_ols(DesignMatrix(X=X, y=np.ldexp(y, -480), names=names))
+
 
 class TestDiagnostics:
     def test_vif_matches_auxiliary_regressions(self):
