@@ -121,36 +121,50 @@ def _check_ranges(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error("--vif-cutoff must be a number or inf, got nan")
 
 
+# the results of the stages that read nothing but the input, kept beside the
+# last frame so runs on unchanged bytes share them: that frame, results by key
+_kept: tuple[data.ModelFrame, dict] | None = None
+
+
 class _Stages:
     """The pipeline stages of one run; each is computed at most once, on demand."""
 
     def __init__(self, args: argparse.Namespace):
+        global _kept
         self.args = args
+        self.frame = data.load_frame(args.input)
+        if _kept is None or _kept[0] is not self.frame:
+            _kept = self.frame, {}
+        self._results = _kept[1]
 
-    @cached_property
-    def frame(self) -> data.ModelFrame:
-        return data.load_frame(self.args.input)
+    def _once(self, key, stage, *args):
+        """stage(*args), kept beside the frame under key; a stage that raises is not kept."""
+        if key not in self._results:
+            self._results[key] = stage(*args)
+        return self._results[key]
 
-    @cached_property
+    @property
     def design(self) -> ols.DesignMatrix:
-        return ols.build_design(self.frame)
+        return self._once("design", ols.build_design, self.frame)
 
-    @cached_property
+    @property
     def ols_fit(self) -> ols.OlsFit:
-        return ols.fit_ols(self.design)
+        return self._once("ols_fit", ols.fit_ols, self.design)
 
-    @cached_property
+    @property
     def ols_diag(self) -> ols.Diagnostics:
-        return ols.diagnostics(self.design, self.ols_fit, self.args.vif_cutoff)
+        c = self.args.vif_cutoff  # keyed by its hex, which tells -0 from 0 as the advisory does
+        return self._once(("ols_diag", c.hex()), ols.diagnostics, self.design, self.ols_fit, c)
 
-    @cached_property
+    @property
     def descriptive(self) -> list[describe.SummaryRow]:
-        return describe.summarize(self.frame)
+        return self._once("descriptive", describe.summarize, self.frame)
 
-    @cached_property
+    @property
     def anova(self) -> list[describe.AnovaResult]:
         groups = (self.args.group_key,) if "group_key" in self.args else ("month", "year")
-        return [getattr(describe, f"anova_by_{g}")(self.frame) for g in groups]
+        stages = [f"anova_by_{g}" for g in groups]
+        return [self._once(name, getattr(describe, name), self.frame) for name in stages]
 
     @cached_property
     def bayes(self) -> list[bayes.PosteriorSummary]:

@@ -225,10 +225,15 @@ def apply_transforms(obs: Sequence[Observation]) -> ModelFrame:
         exp_claims=np.array([_exp_claim(c, d) for c, d in zip(av_claims, dates)]),
         loss=np.array(loss),
     )
-    for column in vars(frame).values():  # read-only, so one frame can be shared
-        if isinstance(column, np.ndarray):
-            column.flags.writeable = False
-    return frame
+    return read_only(frame)  # one frame may be shared
+
+
+def read_only(result):
+    """``result`` with every array among its fields made read-only, so it can be shared."""
+    for value in vars(result).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return result
 
 
 # the last input that loaded without error: its bytes and its frame

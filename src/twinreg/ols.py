@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ModelFrame
+from .data import ModelFrame, read_only
 from .errors import DataError, SingularDesignError
 from .kernels import SQUARES_MIN, chi2_sf, student_t_sf2
 
@@ -83,8 +83,17 @@ def build_design(frame: ModelFrame) -> DesignMatrix:
         raise DataError(
             f"insufficient data: need more rows than parameters (n={n}, p={p})"
         )
+    # describe and the prior refuse such a column too; once its squares
+    # underflow, the rank cut in _factor cannot see it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, col in zip(frame.names, cols):
+            sd = float(np.std(col, ddof=1))
+            if sd * sd < SQUARES_MIN and col.min() < col.max():
+                raise DataError(f"regressor {name!r} too small: its variance underflows a double")
     X = np.column_stack([np.ones(n)] + cols)
-    return DesignMatrix(X=X, y=frame.loss.astype(float), names=(INTERCEPT_NAME,) + frame.names)
+    return read_only(
+        DesignMatrix(X=X, y=frame.loss.astype(float), names=(INTERCEPT_NAME,) + frame.names)
+    )
 
 
 def _factor(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +175,7 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
     r2 = 1.0 - rss / sst
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p)
 
-    return OlsFit(
+    fit = OlsFit(
         names=d.names,
         estimates=beta,
         std_errors=se,
@@ -182,6 +191,7 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
         q=Q,
         r=R,
     )
+    return read_only(fit)
 
 
 def diagnostics(d: DesignMatrix, fit: OlsFit, vif_cutoff: float = 10.0) -> Diagnostics:

@@ -1,14 +1,16 @@
 """Tests for the command-line interface: exit codes, formats, and streams."""
 
 import argparse
+import gc
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twinreg import data, kernels
+from twinreg import bayes, data, kernels, ols
 from twinreg.cli import build_parser, main
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv")
@@ -453,6 +455,24 @@ class TestFailureExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("data error: regressor 'AdjPop' too small:")
 
+    # a scaled column whose variance underflows is refused by every command
+    # that reads it, ols included, or by none of them
+    @pytest.mark.parametrize("k", [-480, -490, -500, -505, -540])
+    @pytest.mark.parametrize("column", [2, 3, 4, 5])  # total_pop, ratio, aplir, ffr
+    def test_tiny_regressor_gets_one_answer(self, run, tmp_path, column, k):
+        rows = [f.split(",") for f in Path(FIXTURE).read_text().splitlines()[1:]]
+        for f in rows:
+            f[column] = repr(math.ldexp(float(f[column]), k))
+        path = small_csv(tmp_path, [",".join(f) for f in rows])
+        got = {c: run(c, "--input", path) for c in ("ols", "describe", "bayes", "report")}
+        codes = {code for code, _, _ in got.values()}
+        assert codes in ({0}, {1}), got
+        if codes == {1}:
+            for code, out, err in got.values():
+                assert out == b""
+                assert len(err.splitlines()) == 1
+                assert err.startswith("data error: ") and "too small" in err
+
     def test_bad_sigma2_scale_is_data_error(self, run):
         code, _, err = run("bayes", "--input", FIXTURE, "--sigma2-scale", "-1")
         assert code == 1
@@ -495,10 +515,71 @@ class TestPipeline:
             calls.append(1)
             return qr(*args, **kwargs)
 
+        monkeypatch.setattr(data, "_last_loaded", None)  # nothing kept from earlier tests
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         code, _, _ = run(command, "--input", FIXTURE, "--format", "json")
         assert code == 0
         assert len(calls) == 1
+        # a second command on the same bytes shares the kept fit
+        code, _, _ = run("ols", "--input", FIXTURE)
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestKeptStages:
+    """The stages that read nothing but the input are kept beside its frame."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_kept(self, monkeypatch):
+        monkeypatch.setattr(data, "_last_loaded", None)
+
+    def test_one_qr_per_input_across_commands(self, run, monkeypatch, tmp_path):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
+        lines = Path(FIXTURE).read_text().splitlines()
+        path = small_csv(tmp_path, lines[1:])
+        argvs = [["ols"], ["ols", "--format", "json"], ["verdict"], ["report"]]
+        for argv in argvs:
+            assert run(*argv, "--input", path)[0] == 0
+        assert len(calls) == 1
+        small_csv(tmp_path, [lines[1].replace(",0.", ",9.", 1), *lines[2:]])
+        for argv in argvs:
+            assert run(*argv, "--input", path)[0] == 0
+        assert len(calls) == 2
+
+    def test_kept_results_are_read_only(self, run, monkeypatch):
+        made = []
+        for name in ("build_design", "fit_ols", "diagnostics"):
+            stage = getattr(ols, name)
+            monkeypatch.setattr(
+                ols, name, lambda *a, stage=stage: made.append(stage(*a)) or made[-1]
+            )
+        assert run("report", "--input", FIXTURE, "--draws", "1000")[0] == 0
+        design, fit, diag = made
+        assert isinstance(diag, ols.Diagnostics)
+        assert not any(isinstance(v, np.ndarray) for v in vars(diag).values())
+        arrays = [v for r in (design, fit) for v in vars(r).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 2 + 9
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
+
+    @pytest.mark.parametrize("command", ["bayes", "report"])
+    def test_posterior_draws_are_not_kept(self, run, monkeypatch, command):
+        refs = []
+        sample = bayes.sample_posterior
+
+        def sample_and_watch(*args):
+            post = sample(*args)
+            refs.append(weakref.ref(post))
+            return post
+
+        monkeypatch.setattr(bayes, "sample_posterior", sample_and_watch)
+        assert run(command, "--input", FIXTURE, "--draws", "1000")[0] == 0
+        gc.collect()
+        assert len(refs) == 1
+        assert refs[0]() is None
 
 
 class TestRepeatedInput:

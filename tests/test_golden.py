@@ -6,6 +6,7 @@ at the default seed and draw count.  A change to any of these bytes is a
 stream change and has to be declared in CHANGES.md along with the new file.
 """
 
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import pytest
@@ -64,3 +65,34 @@ def test_one_process_runs_errors_then_every_case(tmp_path, capfdbinary):
         cap = capfdbinary.readouterr()
         assert (code, cap.err) == (0, b""), (case, fmt)
         assert cap.out == (ROOT / "golden" / f"{case}_{fmt}.out").read_bytes(), (case, fmt)
+
+
+def test_one_process_prints_what_fresh_runs_print(tmp_path, capfdbinary, monkeypatch):
+    good = Path(FIXTURE).read_text()
+    header, first, *rest = good.splitlines(keepends=True)
+    rewrite = first.replace(",0.", ",9.", 1)  # the same length, so only the bytes differ
+    assert rewrite != first and len(rewrite) == len(first)
+    rows = [line.split(",") for line in (first, *rest)]
+    singular = "".join([header, *(",".join([*f[:5], f[4], f[6]]) for f in rows)])  # FFR = APLIR
+    vif = [[c, "--vif-cutoff", v] for c in ("ols", "report") for v in ("-0", "0", "5", "inf")]
+    on_good = [(good, [*CASES[c], "--format", f]) for c in CASES for f in ("text", "json")]
+    on_good += [(good, argv) for argv in vif]
+    edited = header + rewrite + "".join(rest)
+    on_edited = [(edited, a) for a in (["ols"], ["ols", "--format", "json"], ["describe"], vif[4])]
+    on_singular = [(singular, ["ols"]), (singular, ["report", "--format", "json"])]
+    # one step of each input in turn, so every singular step sits between good ones
+    steps = [s for s in chain.from_iterable(zip_longest(on_good, on_edited, on_singular)) if s]
+    path = tmp_path / "input.csv"
+
+    def run(content, argv):
+        path.write_text(content)
+        code = main([*argv, "--input", str(path)])
+        return (code, *capfdbinary.readouterr())
+
+    fresh = {}
+    for content, argv in steps:
+        monkeypatch.setattr(data, "_last_loaded", None)
+        fresh[content, tuple(argv)] = run(content, argv)
+    assert fresh[singular, ("ols",)][2].startswith(b"singular design: ")
+    for content, argv in steps + steps[::-1] + [s for s in steps for _ in (0, 1)]:
+        assert run(content, argv) == fresh[content, tuple(argv)], argv
