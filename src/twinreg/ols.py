@@ -83,13 +83,15 @@ def build_design(frame: ModelFrame) -> DesignMatrix:
         raise DataError(
             f"insufficient data: need more rows than parameters (n={n}, p={p})"
         )
-    # describe and the prior refuse such a column too; once its squares
-    # underflow, the rank cut in _factor cannot see it
+    # describe and the prior refuse such a column too (each row's sd has the
+    # bits of describe's); once its squares underflow, _factor cannot see it
+    rows = np.stack(cols)
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, col in zip(frame.names, cols):
-            sd = float(np.std(col, ddof=1))
-            if sd * sd < SQUARES_MIN and col.min() < col.max():
-                raise DataError(f"regressor {name!r} too small: its variance underflows a double")
+        sd = np.std(rows, axis=1, ddof=1)
+        tiny = np.flatnonzero((sd * sd < SQUARES_MIN) & (rows.min(axis=1) < rows.max(axis=1)))
+    if tiny.size:
+        name = frame.names[tiny[0]]
+        raise DataError(f"regressor {name!r} too small: its variance underflows a double")
     X = np.column_stack([np.ones(n)] + cols)
     return read_only(
         DesignMatrix(X=X, y=frame.loss.astype(float), names=(INTERCEPT_NAME,) + frame.names)
