@@ -46,45 +46,45 @@ for _shape in (0.3, 1.0, 19.5):
 
 # (seed, call): (sha256 of the float64 output bytes, counter after the call)
 DIGESTS = {
-    (0, "normals-1"): ("dea25d5a9fc8b51e731b5369cad0af258f9bfde3966bcf0bf18ec5a3927ce05a", 2),
+    (0, "normals-1"): ("e5006e522af48f3c58aa731ee987b0282d269c0ff794a6150b352fb4e8118f8f", 2),
     (0, "normals-1-moved"): ("8f6aa7489e7fd8e353a38cae1ea85c16614c854b924dbd488589ff769f015a56", 5),
-    (0, "normals-32768"): ("300bb1a4e13b1feae6e1421f7037597c85d2dcc94425e0935fdec8d9a57d9f10", 65536),
-    (0, "normals-32768-moved"): ("0f54b3871309b1a44bb67b443f1377ff425549c02b770f934157d827556e2674", 65539),
-    (0, "normals-32769"): ("5848035f5bcf0a15f47177e6f23275f6442e1b517d52f65efc0618abc33cd8eb", 65538),
-    (0, "normals-32769-moved"): ("08b6f24d3f9e86b443cd0a8b8aafc9c5dff7d21f633171c66a5be6f8e3c4fe88", 65541),
-    (0, "normals-262147"): ("ab620f1a017e413525aa9a82952ea8ddbcfd5449f2743bd7a9d68e3edb9fc870", 524294),
-    (0, "normals-262147-moved"): ("2068a5aaaa7a3db76ef5ffab02df465b0cc3e23141560f028ac7096e7f5abf65", 524297),
-    (0, "normals-1000003"): ("c5cb6a0b4b0d03aa46074e3c30b9b4e40ea16bde3b88d0c4519d5bd728b3e02e", 2000006),
-    (0, "normals-1000003-moved"): ("f580d29096acbf60b276e602e3f3c2cadd15da3a32a17b97c4d73651a1c5b776", 2000009),
-    (0, "inverse_gammas-0.3"): ("c5e44a77c822d8f557a9318668f196d49bfbd61ec062fefc362ecbf5ce85e286", 820004),
-    (0, "inverse_gammas-1.0"): ("6024a04706b15a055e0f487e29ea22941e036ac631edff85719d0efad77df22c", 630105),
-    (0, "inverse_gammas-19.5"): ("e0277584779f422b0e19d4d5c2c8fa311f19471e590617d7e35681f4b115bb5d", 600855),
+    (0, "normals-32768"): ("c0196f1fa7a996ff50b034a9ee1a31daa0666470fbe6a8ea8c36d665d850ff33", 65536),
+    (0, "normals-32768-moved"): ("ea0da47e887d3c8a40b9ce44655c601b355b5ccefa1a0fe9ad7d6b0c58d6a5be", 65539),
+    (0, "normals-32769"): ("964c663a1b2fb3bf2480c02d523b527f2bd7da3795f6d23cdb13f3061c86a0d8", 65538),
+    (0, "normals-32769-moved"): ("8d1aacb966c625443aebddc4a6d4db1ebf93fb24a1998561961f30a632d04aa0", 65541),
+    (0, "normals-262147"): ("e81c312d2f0df8ed71ebd84ab843241f2a3c7966a1cac363ae21bcf3ead188ad", 524294),
+    (0, "normals-262147-moved"): ("e28bcecf5dbee4462a8d276cb7a29d6bca98f5324bcbe486cc5aa01c6dcd21e5", 524297),
+    (0, "normals-1000003"): ("efa222e3b36ec6de47a990ee2f5be164e4e12b11af41c5ae1dfef962f541f798", 2000006),
+    (0, "normals-1000003-moved"): ("39679ae20d0c07a691c805bfbb3cf733d20612c4af13176a398578017e3f62fe", 2000009),
+    (0, "inverse_gammas-0.3"): ("d3aa3eaeba3e64e786e6d189d2df7836eb6dc4bd01c77b45103119626a5d9028", 820004),
+    (0, "inverse_gammas-1.0"): ("1b153884768429623042cf7832c28b71c94b495f7ee9fb23f365502d7bc11afd", 630105),
+    (0, "inverse_gammas-19.5"): ("d6b12bd8bde44cb22c722958e52c688582d7c7ef4b7b11af8a64e952a749eca4", 600855),
     (42, "normals-1"): ("bafe76fe7392715f61bb820c33253609d0d7dc597d5cb8ba811ff89e6b79c789", 2),
-    (42, "normals-1-moved"): ("d0e613b5cca567ce1e4ed428efad57f56b8bf6eb3abef9251b10d7aee7a7a0a9", 5),
-    (42, "normals-32768"): ("b3c382b0e17e24e78017780c75b979578575afd306e6a4da3741884f1f391822", 65536),
-    (42, "normals-32768-moved"): ("90a9bafaadfd3b534e79ae324fa6460fefc02c4025f3895386669ecc1252031d", 65539),
-    (42, "normals-32769"): ("eacf598dfb2811192badfdfd2615f69bcc8a10dd535ed62af067f61c8746b76b", 65538),
-    (42, "normals-32769-moved"): ("5ee9d92577489ba7ed76ed578700c3ab62e703bfe8531793352dc47609d6ac98", 65541),
-    (42, "normals-262147"): ("e9cf15f343b2e3151e46113376573b7e3121dbe711a218cae94e9980b43df898", 524294),
-    (42, "normals-262147-moved"): ("8d6f04ab09d65fd931eb02370026398a04cecb4cb66443eec711a62f46b76287", 524297),
-    (42, "normals-1000003"): ("3bf9fff2611e2328082388bb628d02bff1c8f8d1958baf0e3fa1ad2535b23a74", 2000006),
-    (42, "normals-1000003-moved"): ("a57dff05cbb2d96d94aa22ce943fc8fb89e43b09f3ffcf2707bc5117bb0b8d01", 2000009),
-    (42, "inverse_gammas-0.3"): ("5691577553ac9fbe65ad5068b9a6e627e0c7a6b92f20a8baf218a9c895f92ae2", 820784),
-    (42, "inverse_gammas-1.0"): ("b06b5418469689d11e464c3258290f52c861c45a085fc27d158192ca3c1ca48e", 630987),
-    (42, "inverse_gammas-19.5"): ("019dfba94fa126165c67807540df5286464c1b01a2066e4aa66dceff47fc0517", 600987),
+    (42, "normals-1-moved"): ("7536330af7fc849c19afceb247ccb5cf80807fd2ba3b41217fa768540aeac557", 5),
+    (42, "normals-32768"): ("b745bb66238060f4d3fb1f2db1f6b422145dc2de36cb349c1ce7aa923fbd00c6", 65536),
+    (42, "normals-32768-moved"): ("e2eaa027d13bc2fc61c692c70aaf2f6c707b48f0d92f88d0c947e333766f4fc5", 65539),
+    (42, "normals-32769"): ("b24d3e424afe7948fe918649d537df39eda57f3722929809e07ba5da21e87b92", 65538),
+    (42, "normals-32769-moved"): ("27c54b2429fae0db516e6bc326fe3174f6d4bf46ff86d1906a26c1fa1d08a4d5", 65541),
+    (42, "normals-262147"): ("8e8c54453afd59084f98ae19818fd4f493bbd17c5a86239f0c671d6ee5c4176e", 524294),
+    (42, "normals-262147-moved"): ("f2cce82e1f1485e04086edb15dcf5b5fbadd05942c9dbdf716db5ad6632220f8", 524297),
+    (42, "normals-1000003"): ("3a312cc7cf19c4a82a670ced70ba12196448c91cb1f2c0d7998efd476d281402", 2000006),
+    (42, "normals-1000003-moved"): ("b52ebb106742a1aee59625e3b23a811fb9f0ef1ca6a11d6435436560ea99d676", 2000009),
+    (42, "inverse_gammas-0.3"): ("1db1e1a2e0357439d59bf5193a482094ca9cd0153f2d0194fd9649839c6c8a53", 820784),
+    (42, "inverse_gammas-1.0"): ("ac31e01b553fd8443710d099dfc7a2ef1ac13b3a20737d8e3f4a1223583761c2", 630987),
+    (42, "inverse_gammas-19.5"): ("2a9e9b54545b137ea9e4c0fe306c7a1b013794f13059e44b4d4d42a4a60a411e", 600987),
     (18446744073709551615, "normals-1"): ("21ed560a3b07ba1b022f781e856e1668be0320abaf9cfd1857b1597ccc74e48e", 2),
     (18446744073709551615, "normals-1-moved"): ("6f3cc603933db67f196b460a5a4fb8a22bf0d8166c87a0de3abdf4c756e56e35", 5),
-    (18446744073709551615, "normals-32768"): ("196c475b8932bc296d81d9c2e09faacd7d03edf88ea2f8ba546a9cbe9e081c5a", 65536),
-    (18446744073709551615, "normals-32768-moved"): ("1455dcabd99c8ba7b6e2db3de3cd0a1fe689ad8f87703ce09008aae560cbd190", 65539),
-    (18446744073709551615, "normals-32769"): ("942b073795a822a4dffef96c22302a71917a5e7c0db516c1d883f2a42fb0c036", 65538),
-    (18446744073709551615, "normals-32769-moved"): ("ad0b1f44983a944a8cee77d711d0efa07b1faa07fefb3c193af80db7cea86864", 65541),
-    (18446744073709551615, "normals-262147"): ("31c26b7383fcba2f12bea11505aefba1e8f604aceae64d8ca62948c58863cef2", 524294),
-    (18446744073709551615, "normals-262147-moved"): ("1ea0c703c2b50fcbd0288c8bd7d0d00a03b4fb17dab2988e3d152995111a8691", 524297),
-    (18446744073709551615, "normals-1000003"): ("29dca368376664b8b59ff03baa114bf6ca9c8f8186aaf207e50cf2f0f51ce515", 2000006),
-    (18446744073709551615, "normals-1000003-moved"): ("df4ca9f23b735c9416bb72f7cfdd0d140aff949d6005f4053bd0aa3546114652", 2000009),
-    (18446744073709551615, "inverse_gammas-0.3"): ("0cf9a9931a15c8374233a6410912fa3c2baf2a7e8881e5ba3a05a61cc94432d2", 820118),
-    (18446744073709551615, "inverse_gammas-1.0"): ("3c68e372b532d95dfdd3e757af57e4108fa7c2c652420d64ddf4b4507917ad95", 630057),
-    (18446744073709551615, "inverse_gammas-19.5"): ("ea173486f7245ca6c023a71f822fe65c6b2d74933a113afd99e56bba8608f1e2", 600855),
+    (18446744073709551615, "normals-32768"): ("137459ac0c7d956f976733d2b4c424a41464d6b559c44bfe10da9c546fcee558", 65536),
+    (18446744073709551615, "normals-32768-moved"): ("a1fe43fa8a143dbad43519a00f76617aeca5126a25c90d0fc91b82f8152e4651", 65539),
+    (18446744073709551615, "normals-32769"): ("b1dfd85e09ab47f7abe62ac81af06dfbdc38cb404c5d3ed5ab81914c2fa5cb9b", 65538),
+    (18446744073709551615, "normals-32769-moved"): ("83bb46ceb4633b45c8c335ad1b2912e41582230b5b031ad09f0280e606d59841", 65541),
+    (18446744073709551615, "normals-262147"): ("190282b9824925e433c82fa5d2d1974ee41f07996ba07df7fe32b1b55e224462", 524294),
+    (18446744073709551615, "normals-262147-moved"): ("6b1d517a61ca7fa3372bbb2db14e28aa04553f1cd628115710a66d498ac2d243", 524297),
+    (18446744073709551615, "normals-1000003"): ("e1797f716b3d752f369d43e64ac124414ba46cd6517ed0ed45c0fa1badc700ca", 2000006),
+    (18446744073709551615, "normals-1000003-moved"): ("250b5071a8ad99d411896b20959c93c6be7144135b240652f6a4973882cba926", 2000009),
+    (18446744073709551615, "inverse_gammas-0.3"): ("a65222f37b12a05e227efdb29a9b41333ea1c843169dde7225993d571e629556", 820118),
+    (18446744073709551615, "inverse_gammas-1.0"): ("569640c92634c99a635c129081bb43bf397bee83d2e596917c8938697f62cbfd", 630057),
+    (18446744073709551615, "inverse_gammas-19.5"): ("6599bb6c36c8f00b4df1b200959f769ba041371500df0d4e952aadd9af8ba654", 600855),
 }
 
 
@@ -116,30 +116,30 @@ FIXTURE = Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.
 # after the call); the design is the first p columns of the fixture's, so p = 7
 # gives blocks whose normals do not fill a slice
 SAMPLER_DIGESTS = {
-    (7, 4, 1000): ("9acf03c775742b61ab081f0c0f954c4b5c8166ee2804ec5deefa3bf9e7ca58e7", "9f6c911b6b83d8c7e33ef2d836a6085db7f0ab3d2ee97abc2ebf2cab3660b1b9", 11000),
-    (7, 4, 10000): ("103f6a17aaa391ac8a15f483ee4400c87eac50637f4a6797de3ee38d6923591f", "535ea5ddc310458aa97cda2348d0d942f95c3fe022132415c5a96c7b2c096f9e", 110033),
-    (7, 4, 131073): ("e457866801565e65899763b37370dcca341d6fded3841229d5f825d057df8cdf", "553ea434b15fb3d7fb6d6bce2eb6e651c05e05274ac49aea08c9b54a17ad4310", 1442499),
-    (7, 4, 1000003): ("c5192a3b5b5137e573520c09626d3cae8013178a2f6ebaa09bf31033a3348edd", "d5729e375148866b53b0abca8c3b7b4fe35673293011a5895feeb699f33297d3", 11004395),
-    (7, 7, 1000): ("957537b2fa664fa08b7219b13af6be5cc9a7b9c171e3ddaa45d7ccc044f6ddef", "b490b2dc6450c72342fc23f3f8641072b909da350efa6a7b5c91c7d4fca85e12", 17000),
-    (7, 7, 10000): ("7eb417edae920bd0afa72dba4c95b15982f8b99eed1387d047199c85fd8433df", "d958d7235c963b1bc9da4da6d77fcbc47d3e46213119c3b87671da997283f36a", 170033),
-    (7, 7, 131073): ("bbf453a29e5d16e90fae87bb45f02478e7d8e7da5548dd12f2e333f409e2a359", "4da21be6a0c30ea04de6cfde668381e57a1373ae94a8de35a961b827b3b737b4", 2228937),
-    (7, 7, 1000003): ("48b3445ad37d38f110834566133f3c9b3f11a77efd0daf9cfc1867ed723c9929", "7793fd82246ba32744536b8e68f578ff0fb1d55e3a1a977e7ea52b06938f0606", 17004413),
-    (7, 8, 1000): ("2bca76ce0d7c059390e1015976e4292ebdd17d86034b9a89b39160663c9b38c2", "aea0809fdeeaf703db23d71f786c5b8a4ef060ef57665d70f27d7a2a2d2b73f8", 19000),
-    (7, 8, 10000): ("a8bc956018d6eaac6d0c01ecf16d5f1d84e85e267e526f021738dab11b39aac6", "d4a5899774edead0e00828ec4fcadc28ae483873c44b149b91352572c5dc1c8e", 190033),
-    (7, 8, 131073): ("600217f9db05993a3e158e03d8fcaf366dd9a70fefe1a63f8b455075981af68e", "11c592f915873b27d52ea46f5859e04ac838abb8e9916059d0742650db030f13", 2491083),
-    (7, 8, 1000003): ("567ea3e2b5a77f1cabd43fe8c2cb4158666f78b131d44d4cece2facd268a4d8c", "37e4c45f023bc76af3572d3e9654661bdd0fcc346fca38f2a77896729f1f798c", 19004419),
-    (42, 4, 1000): ("8b576611654df0b58fa5e8ea8dd33dfd1150cfc94054c05452a5977056ec97c9", "a7c7b00dd2444413415a7b3bc7cab2dbd7c2ea4326b7eb57b72b16e72df9db5c", 11009),
-    (42, 4, 10000): ("a8d7288f7ee12e3a2c52f1a23fae43bfad4a5b0138b9e4e4790d6b0d550a7493", "b6642401ae0e8fc1f2771e30e80ea0550fd9979226e6d16fe4c9cedb935e1d5f", 110048),
-    (42, 4, 131073): ("c773ebe26323c89c9262fe1a5b72be2333dbe212f38d7a10fee7a5c9c0c3a2e7", "6e63d8ca64bbc6419556743e731e1c48b9bfbac9b4fbdd9c6e178cd29533c3d9", 1442457),
-    (42, 4, 1000003): ("a26513ac185ddc22ad7bb855c2b038f93001c726b5644b762f5f6aa8222032a1", "46bbbefaf7eea8a959ea3cd884c0a30135263ef444f881dc91363d8ff797a149", 11004401),
-    (42, 7, 1000): ("d96664d7fe4a3dd826747afbdd163845933f629e764e82a7f6547456195c23b2", "359956c84f0c82cb510c3e3b141fae3f9b6ef9827a38dd385f643b1ba06231e0", 17009),
-    (42, 7, 10000): ("9d4ce70bdf48ee014dcd9b5b73c2182ae757ab5b7840cc2395e7058ca637ce9c", "372f58698edd6a1b9911657aad542bf123a49baed15a13f39d5ccf4b3e9e847e", 170048),
-    (42, 7, 131073): ("4bc7d966ce3d3bb642b3cfdf208e4bf866f132fc8c13402cb281cc59479bd19f", "025758d727fa8f3ab41802f9787d8a847070693a7dadfa14c6f6de2dd78454c9", 2228895),
-    (42, 7, 1000003): ("0cc06fa7f86b8a88296cac599ea732712ce985e57ffbf6e7d0bcfb02d40519ca", "b9c807fe899dd4831d21ae76d7d8fd126770fdaf7a0bd26efe3dfa3d92f4985c", 17004419),
-    (42, 8, 1000): ("e0512803559660f4fb9f686920de6cae87fa1306459ddd83d906849c4320c4af", "432d7554bb6b635ad5fedbe43e65f82b86b6ffdd36f58b67fddec8489bfe4a40", 19009),
-    (42, 8, 10000): ("2fc4f4d19b265ffdf6ac0952a04e226b1e0d14571ba8bfe193762620bb0b8a56", "04c92de5941f44de6e051720a16aa785b245d31098f41216fccc71af2c3e164f", 190048),
-    (42, 8, 131073): ("c8f4bf8ac7ad2db7d18914c1dd6ee1f8353f7ab0506281ac8d8967952cacce32", "fcbe7c273b2292bb4dfaa796b05d40b96b88b79c7a8b27cee9c85d5e1357676d", 2491041),
-    (42, 8, 1000003): ("26f28144a0c9476299006029d6fd743871b4bbec4c80144bc775580d0c631df3", "d611fcba2357453aeeed568410e11cabf0bca9cfbc3b9f98fed9c2bd7655e1db", 19004425),
+    (7, 4, 1000): ("3fc9215e824f2e5eadb316439d252d92441671c151f818643d6a30624a04d673", "178021c96e5b2f8dc920070115bc6d16c4961b90fab8ec20493af87589d0d91e", 11000),
+    (7, 4, 10000): ("73b17f9a89f776978c93907b56ed4a02cfa9f10b9931d4eae89e3544373c1e3f", "7d48eca393d1f9f8dec225fdb365c67985135ed408e03fde6dff0847f0c93278", 110033),
+    (7, 4, 131073): ("d0a51e86d6dcbc4587043767c97267849d7c80b2d1db1eece3b41411c189e294", "b04cc84fb2ca7d7a00377d094cdeb20194ea1cb31a6f5136ee8a2fcf6f0fc37d", 1442499),
+    (7, 4, 1000003): ("87aaeb593ce21d557ba2cc2631a4a0ccfe6cad87a9ad9ef6dd7d507c8c0c2495", "3aff16dd6cda930f79838ca5e89fd4f684d4db9294e9f7e3bdc5d78c956dad84", 11004395),
+    (7, 7, 1000): ("0052aedf36ae59aa3ac4d60ba9aa8bc3690a90f265e7549c5f63aa6f78746974", "8abde3c36f8c684f282ece506810395116ac2e60ba246c3099b19f1f4f45c19b", 17000),
+    (7, 7, 10000): ("ff839fb60dc76a1419796baa19953e34cd7a9072b5f24a4b0cd95f325030fb45", "3adea39b76ee5f5a774857efa98ce805a241e3e13f0bafd86319e9569040cbda", 170033),
+    (7, 7, 131073): ("a36af3d84739dccfa5e8a529a3987be7da4a42e77fa9be366b88747fe1b2c8c4", "b0affa86e505f6dfe1dd26d71b5cb67381d833e4ee0b88570e142d97c1c55c19", 2228937),
+    (7, 7, 1000003): ("cee734ff288feb98dd38e33ac0f15436e26f6f7f5fbbd65f6beaab8d9a398f21", "84ac7c0e5241083ececbb38d320f44dda2eda5b9d6ca283d9d8f455847f30d1e", 17004413),
+    (7, 8, 1000): ("20cba9b59606a97b3bae9a88dd0fad7692376ebd439e2adee846e713f47c7567", "e3f755c3c843006fd7cb26a70d06d5a5e461df3893512bd498a2c120379e21b9", 19000),
+    (7, 8, 10000): ("029302556240ecc9a923a5918722746b54795f5ad53b0f5a88d864aba8909254", "bf87a759027d59cff769a42524df12cc8edad4d69524819ba227ffdd5a32f065", 190033),
+    (7, 8, 131073): ("0103a23117068ad055d56fd21a1431e5d2b44954f1cfc1493ee36ea48f6ac037", "448c1a1e9ace1ef70e0b1cf416109dc8f2d2f8dc93c3227fefa60cb6dfb2d8c7", 2491083),
+    (7, 8, 1000003): ("589b5c93ee7f30f17c80d76d0447b5436dfe09ec194207c7ada7a69900462eef", "ab1de86e11e627b320d11ec863bd292bebf15b5eea161b45f6c397795fcda27b", 19004419),
+    (42, 4, 1000): ("20e655ef7e2edb7c17d87048d22e765f573822f9e85ffc8aacf2e2a231791661", "f416cd4dad13a651ef9cb49e2a4ac7a5c59168997f4575b31e1b6f4e42563b60", 11009),
+    (42, 4, 10000): ("a2aa2852ea89d1219c0966e37b4704c992847062387fc3d2a71cecb5f2eea4f0", "a026aeddabf7edf822cc53f8a6c261444551f1d389d2a089f465bc3d3fde03c6", 110048),
+    (42, 4, 131073): ("25b183041a29c81bfea6ec5c30c2ef59c531ef446ff2fa5326cb1b62de332ee2", "534fbdbaca8069977c194f9f2fc7454e9280b92e9a468fe0e4aafe1160cb31f2", 1442457),
+    (42, 4, 1000003): ("efa15d54a6728f11b881e978baeb574b16f835588da12b067de2210d0e1cf16e", "5b6f7683ed293293ba23d01827720f33246680ca8793e4184a29d2c3dd6670a1", 11004401),
+    (42, 7, 1000): ("6f7600846d0da2485a907a9f5e27f35e4223c322444f36eabaa577124a302d8e", "84b801268cb6248903cb6450af2c2dad10327f904db67f72bf181cf4e92b0f6a", 17009),
+    (42, 7, 10000): ("c4bb73cf02cbca4494a23f80a760d24adf62bb69c54ba73b63b8180b82a4b8a7", "69221a86609629d006b1dc1edf2c3e8be9ee99e926898012166065244c3bad0b", 170048),
+    (42, 7, 131073): ("224c71b062fe2485b388bdf93e495078491bd950e35dc6d608208cb084e7fc06", "11a294aa021cb7c4bd30c48ea26276113038bba00758a81f88993da5c75b6a5e", 2228895),
+    (42, 7, 1000003): ("99c9b237f979f1b911dad9b84be19cae7aa4cf53f689f247b31ee3f5d9708934", "73e00c756e9cb7b58dc2d9e947930b0d8a5742a878e291baade2d217b7a502f0", 17004419),
+    (42, 8, 1000): ("a04cdc27c35b990de035fcdef97f2426d6ddbceaeb76fe85c24526d43bb2b1d5", "832b14c3208f3c2cb934f3c6b78217778625b8621b00ab0a52ac630c3aa3e837", 19009),
+    (42, 8, 10000): ("87675750f2e2d348741ad8476c1af8c148c9c63ef78030fad09e123ab93e822b", "3a96205587617c25ec9bb3279f401a367674b69d1b4ba8cef3c59f1992bd5353", 190048),
+    (42, 8, 131073): ("73b01b8c47bc67586c15badb50b2f966f80b41033d3b1da5465dd20baafa00ac", "b9fe83a6376e61fdf891f609379a696d88c94499e3446e2a0f2886c6199bbfe1", 2491041),
+    (42, 8, 1000003): ("0e5d1b392fde923af9d44434f874616906c97f5dc779183599181bd1a0cc9676", "9f9b6e750d8078edc98cf5b684b98fa5e83dcfefb12d67bc27886be5fe8fa575", 19004425),
 }
 
 
@@ -182,10 +182,10 @@ def test_sampler_block_edges_do_not_change_the_draws(seed, p, draws, designs, mo
 # fixture, taken before the draws were stored column-major and the column
 # sorts were spread over threads
 BAYES_JSON_DIGESTS = {
-    (1, False): "09c2b644ada31958e63100732c39238834c5cad341e96c23a4e067a5401ac77d",
-    (1, True): "9dbbf8fb1fe3cbf3a2a81f024efeb5abd491ad6a34651ed6715e7fd6652096bc",
-    (2, False): "7d13b6a83b37850688c34066b364add8169d99b6691829cdb619c4ee1989e1d6",
-    (2, True): "3ec36c7bcf4f00e97e07c8bd7cb254bba675796727e0d259dfce81ab7d0a5c3f",
+    (1, False): "f1a79563c4452b934f97c23dcfc061780ee329f28a93f37036dd2d6c78d8fc57",
+    (1, True): "b4b819438a9e5ff7b005c840907bca51c723925afca5d2fbd02591ff25f61863",
+    (2, False): "50726ef04de2091ed21d7dd8f7b671323bdca95d594a111dd60cce94d8591d4c",
+    (2, True): "a73aaebedb5ac7f7255204ad070c7c786b697d92208759556cd9ba2c6492b395",
 }
 
 
