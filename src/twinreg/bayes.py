@@ -26,6 +26,11 @@ OLS residual variance so that those sds are in natural response units rather
 than units of sigma.  The sigma2 prior is InvGamma(shape, scale) with shape 1
 and, unless overridden, scale auto-set to shape times the OLS residual
 variance so the prior scale matches the data scale.
+
+The update runs on Z and y at the power-of-two scale ``ols.fit_ols`` chose,
+where no sum of squares over- or underflows; the scale-back is folded into
+U_inv's rows and mu_n, and each returned number passes the output rule
+``kernels.scaled_back``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .kernels import SQUARES_MIN, RandomSource, median_of_sorted, run_parallel, worker_count
+from .kernels import RandomSource, median_of_sorted, run_parallel, worker_count
+from .kernels import scale_exponent, scaled_back
 from .ols import DesignMatrix, OlsFit
 
 
@@ -95,42 +101,34 @@ def default_prior(
     sigma2_scale: float | None = None,
 ) -> PriorSpec:
     """Auto-scaled weakly-informative prior; coef_sd overrides every coefficient sd."""
-    y = d.y
-    p = d.p
-    sd_y = _sd(y, "response")
-    mean = np.zeros(p)
-    mean[0] = float(np.mean(y))
+    # the sds at each column's own power-of-two scale, where no square overflows
+    x_exp, y_exp = scale_exponent(d.X, axis=0), int(scale_exponent(d.y))
+    y = np.ldexp(d.y, -y_exp)
+    sd_y = float(np.std(y, ddof=1))
+    mean = np.zeros(d.p)
+    mean[0] = scaled_back(np.mean(y), y_exp, f"prior mean of {d.names[0]!r}")
     if coef_sd is not None:
         if coef_sd <= 0:
             raise DataError("coef_sd override must be strictly positive")
-        sds = np.full(p, float(coef_sd))
+        sds = np.full(d.p, float(coef_sd))
     else:
-        sds = np.empty(p)
-        sds[0] = 2.5 * sd_y
-        for j in range(1, p):
-            sd_x = _sd(d.X[:, j], f"regressor {d.names[j]!r}")
-            if sd_x == 0.0:
-                raise DataError(
-                    f"regressor {d.names[j]!r} is constant; cannot auto-scale its prior"
-                )
-            sds[j] = 2.5 * sd_y / sd_x
+        slopes = np.ldexp(d.X[:, 1:].T, -x_exp[1:, None], order="C")
+        sd_x = np.std(slopes, axis=1, ddof=1)
+        constant = np.flatnonzero(sd_x == 0.0)
+        if constant.size:
+            name = d.names[constant[0] + 1]
+            raise DataError(f"regressor {name!r} is constant; cannot auto-scale its prior")
+        sds = scaled_back(
+            np.append(2.5 * sd_y, 2.5 * sd_y / sd_x),
+            np.append(y_exp, y_exp - x_exp[1:]),
+            [f"prior sd of {c!r}" for c in d.names],
+        )
     return PriorSpec(
         coef_mean=mean,
         coef_sd=sds,
         sigma2_shape=sigma2_shape,
         sigma2_scale=sigma2_scale,
     )
-
-
-def _sd(x: np.ndarray, what: str) -> float:
-    """Sample sd of x (n-1 denominator); a typed error if its squares over- or underflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = float(np.std(x, ddof=1))
-    if not math.isfinite(sd):
-        raise DataError(f"{what} too large: its variance overflows a double")
-    if sd * sd < SQUARES_MIN and x.min() < x.max():
-        raise DataError(f"{what} too small: its variance underflows a double")
-    return sd
 
 
 def sample_posterior(
@@ -143,56 +141,66 @@ def sample_posterior(
     """Exact draws from the conjugate posterior; see the module docstring."""
     if draws < 1000:
         raise ValueError(f"draws must be at least 1000, got {draws}")
-    X, y = d.X, d.y
+    X, y = fit.scaled_design(d)
     n, p = X.shape
     prior.validate(p)
+    y_exp = fit.y_exp
+    coef_exp = y_exp - fit.x_exp  # a coefficient at the fit's scale is 2**-coef_exp times it
 
     # the OLS residual variance of this design sets the natural-unit prior scaling
-    s2_ols = fit.sigma2_hat
+    s2_ols = math.ldexp(fit.sigma2_hat, -2 * y_exp)
     if s2_ols <= 0.0:
-        s2_ols = max(float(np.var(y, ddof=1)), 1e-300)
+        s2_ols = float(np.var(y, ddof=1))  # > 0: fit_ols refuses a constant response
 
     xbar = np.zeros(p)
     xbar[1:] = X[:, 1:].mean(axis=0)
     Z = X - xbar
 
-    with np.errstate(over="ignore"):  # an sd whose square overflows: precision 0, a flat prior
-        lam0 = s2_ols / prior.coef_sd**2
-    mu0 = prior.coef_mean
+    # at the fit's scale, an sd whose square overflows gives precision 0, a flat
+    # prior; a sigma2 scale that overflows, sigma2 draws the output rule refuses
+    with np.errstate(over="ignore"):
+        lam0 = s2_ols / np.ldexp(prior.coef_sd, -coef_exp) ** 2
+        mu0 = np.ldexp(prior.coef_mean, -coef_exp)
+        scale = prior.sigma2_scale
+        b0 = prior.sigma2_shape * s2_ols if scale is None else float(np.ldexp(scale, -2 * y_exp))
     A = Z.T @ Z + np.diag(lam0)
     # A = L L' so A^-1 = U_inv U_inv' with U_inv = (L')^-1, a single p x p inverse
     U_inv = np.linalg.inv(np.linalg.cholesky(A).T)
     mu_n = U_inv @ (U_inv.T @ (Z.T @ y + lam0 * mu0))
 
     a_n = prior.sigma2_shape + 0.5 * n
-    b0 = (
-        prior.sigma2_scale
-        if prior.sigma2_scale is not None
-        else prior.sigma2_shape * s2_ols
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        b_n = b0 + 0.5 * (
-            float(y @ y) + float(mu0 * lam0 @ mu0) - float(mu_n @ (A @ mu_n))
-        )
-    if not math.isfinite(b_n):
-        raise DataError("response too large: the posterior scale overflows a double")
+    b_n = b0 + 0.5 * (float(y @ y) + float(mu0 * lam0 @ mu0) - float(mu_n @ (A @ mu_n)))
     if b_n <= 0.0:
         raise DataError(f"posterior scale collapsed to {b_n}; check the prior spec")
 
-    sigma2 = rs.inverse_gammas(draws, a_n, b_n)
+    # sigma2 is drawn at 2**-2m of the fit's scale, near 1, and U_inv's rows at
+    # 2**m times the units of each coefficient: their product, the spread of
+    # the draws, is formed at the scale of the draws themselves
+    m = int(scale_exponent(b_n)) // 2
+    sigma2 = rs.inverse_gammas(draws, a_n, math.ldexp(b_n, -2 * m))
+    what = [f"posterior of {c!r}" for c in d.names]
+    mu_n = scaled_back(mu_n, coef_exp, what)
+    U_inv = scaled_back(U_inv, (coef_exp + m)[:, None], [[w] for w in what])
+    xbar = np.ldexp(xbar, fit.x_exp)
 
     def to_draws(z, dst, rows):
         # row k is mu_n + sqrt(sigma2_k) * U_inv z_k, i.e. L' w_k = z_k; the
         # block is worked in C order and then copied into the columns: with
-        # a column-major out=, matmul runs a transposed GEMM whose bits differ
-        block = z @ U_inv.T
-        block *= np.sqrt(sigma2[rows])[:, None]
-        block += mu_n
-        block[:, 0] -= block[:, 1:] @ xbar[1:]
+        # a column-major out=, matmul runs a transposed GEMM whose bits differ;
+        # a draw beyond the doubles is left inf, refused by summarize_posterior
+        with np.errstate(over="ignore", invalid="ignore"):
+            block = z @ U_inv.T
+            block *= np.sqrt(sigma2[rows])[:, None]
+            block += mu_n
+            block[:, 0] -= block[:, 1:] @ xbar[1:]
         dst[...] = block
 
     beta = np.empty((draws, p), order="F")
     rs.normal_rows(beta, to_draws)
+    # the draws are positive, so the smallest and the largest decide the rule
+    exp = 2 * (y_exp + m)
+    scaled_back([sigma2.min(), sigma2.max()], exp, "sigma2 draws")
+    np.ldexp(sigma2, exp, out=sigma2)
     return PosteriorDraws(beta=beta, sigma2=sigma2, names=d.names)
 
 
@@ -201,7 +209,8 @@ def rope_bounds(loss: Sequence[float]) -> tuple[float, float]:
     x = np.asarray(loss, dtype=float)
     if len(x) < 2:
         raise ValueError("rope_bounds needs at least 2 values")
-    high = float(np.std(x, ddof=1)) / 10.0
+    exp = scale_exponent(x)
+    high = float(scaled_back(np.std(np.ldexp(x, -exp), ddof=1) / 10.0, exp, "ROPE bound"))
     return -high, high
 
 
@@ -303,15 +312,22 @@ def summarize_posterior(
         cols = range(j0, min(j0 + len(bufs), p))
         run_parallel([partial(_sort_into, buf, post.beta[:, j]) for buf, j in zip(bufs, cols)])
         for ranked, j in zip(bufs, cols):
+            name = post.names[j]
+            # the output rule, first on the extremes, which show any draw that
+            # is not finite (nan sorts last), so the interval sees none
+            scaled_back([ranked[0], ranked[-1]], 0, f"draws of {name!r}")
             lo, hi = interval(ranked, level)
+            values = [median_of_sorted(ranked), lo, hi, 0.5 * (lo + hi)]
+            what = [f"{v} of {name!r}" for v in ("median", "ci_low", "ci_high", "ci_midpoint")]
+            median, lo, hi, mid = map(float, scaled_back(values, 0, what))
             out.append(
                 PosteriorSummary(
-                    name=post.names[j],
+                    name=name,
                     draws=post.beta[:, j],
-                    median=median_of_sorted(ranked),
+                    median=median,
                     ci_low=lo,
                     ci_high=hi,
-                    ci_midpoint=0.5 * (lo + hi),
+                    ci_midpoint=mid,
                     level=level,
                     rope_low=rope[0],
                     rope_high=rope[1],

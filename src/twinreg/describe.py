@@ -1,4 +1,9 @@
-"""Descriptive statistics and one-way ANOVA."""
+"""Descriptive statistics and one-way ANOVA.
+
+Both compute at the exact power-of-two scale ``kernels.scale_exponent`` gives
+each column; the summaries are scaled back through the output rule
+``kernels.scaled_back``, and F does not depend on the scale.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ import numpy as np
 
 from .data import ModelFrame
 from .errors import DataError
-from .kernels import SQUARES_MIN, f_sf, median_of_sorted
+from .kernels import f_sf, scale_exponent, scaled_back
 
 
 @dataclass(frozen=True)
@@ -34,34 +39,23 @@ class AnovaResult:
     p_value: float
 
 
-def _summary(name: str, x: np.ndarray) -> SummaryRow:
-    sd = float(np.std(x, ddof=1)) if len(x) > 1 else 0.0
-    return SummaryRow(
-        name=name,
-        mean=float(np.mean(x)),
-        sd=sd,
-        median=median_of_sorted(np.sort(x)),
-        min=float(np.min(x)),
-        max=float(np.max(x)),
-    )
-
-
 def summarize(frame: ModelFrame) -> list[SummaryRow]:
     """One SummaryRow per variable; sd uses the n-1 denominator."""
-    if len(frame) == 0:
+    n = len(frame)
+    if n == 0:
         raise DataError("cannot summarize an empty frame")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = [
-            _summary(name, col)
-            for name, col in zip(frame.names, frame.regressor_columns())
-        ]
-        rows.append(_summary("Loss", frame.loss))
-    for r in rows:
-        if not (math.isfinite(r.mean) and math.isfinite(r.sd) and math.isfinite(r.median)):
-            raise DataError(f"{r.name} too large: its mean, sd or median overflows a double")
-        if r.sd * r.sd < SQUARES_MIN and r.min < r.max:
-            raise DataError(f"{r.name} too small: its variance underflows a double")
-    return rows
+    names = (*frame.names, "Loss")
+    cols = np.stack([*frame.regressor_columns(), frame.loss])
+    exp = scale_exponent(cols, axis=1)[:, None]
+    cols = np.ldexp(cols, -exp)
+    ranked = np.sort(cols, axis=1)
+    stats = np.column_stack([  # mean, sd, median (as np.median's), min, max
+        cols.mean(axis=1), cols.std(axis=1, ddof=1) if n > 1 else np.zeros(len(cols)),
+        (ranked[:, (n - 1) // 2] + ranked[:, n // 2]) / 2, ranked[:, 0], ranked[:, -1],
+    ])
+    what = [[f"{s} of {name!r}" for s in ("mean", "sd", "median", "min", "max")] for name in names]
+    rows = scaled_back(stats, exp, what)
+    return [SummaryRow(name, *map(float, row)) for name, row in zip(names, rows)]
 
 
 def one_way_anova(
@@ -82,22 +76,18 @@ def one_way_anova(
         raise DataError(
             f"ANOVA needs more observations than groups (n={n}, k={k})"
         )
+    y = np.ldexp(y, -scale_exponent(y))  # F does not depend on the scale
     ssb = 0.0
     ssw = 0.0
     # each group as one contiguous slice, its values in input order
     ys = y[np.argsort(codes, kind="stable")]
     ends = np.cumsum(np.bincount(codes)).tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        grand = y.mean()
-        for start, end in zip([0, *ends], ends):
-            sub = ys[start:end]
-            mean = np.add.reduce(sub) / len(sub)
-            ssb += len(sub) * (mean - grand) ** 2
-            ssw += float(np.add.reduce(np.square(sub - mean)))
-    if not (math.isfinite(ssb) and math.isfinite(ssw)):
-        raise DataError(f"values too large: the {label} ANOVA sums of squares overflow a double")
-    if ssb + ssw < SQUARES_MIN and y.min() < y.max():
-        raise DataError(f"values too small: the {label} ANOVA sums of squares underflow a double")
+    grand = y.mean()
+    for start, end in zip([0, *ends], ends):
+        sub = ys[start:end]
+        mean = np.add.reduce(sub) / len(sub)
+        ssb += len(sub) * (mean - grand) ** 2
+        ssw += float(np.add.reduce(np.square(sub - mean)))
     msb = ssb / (k - 1)
     msw = ssw / (n - k)
     if msw == 0.0:

@@ -17,6 +17,9 @@ named algorithms alone:
                        library.  Gamma variates use Marsaglia-Tsang
                        rejection with the exact log test alone, no squeeze;
                        inverse-gamma draws are reciprocals of gamma draws.
+* ``scale_exponent``, ``scaled_back`` -- the power of two at which each stage
+                       computes, and the output rule that brings a result
+                       back, refusing a value that is not a normal double.
 
 The F tail is a thin wrapper over the regularized incomplete beta, and the
 two-sided Student-t tail is the F(1, df) tail at t**2.
@@ -31,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DataError
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
@@ -188,11 +191,34 @@ def _gamma_q_cf(a: float, x: float) -> float:
     raise ConvergenceError(f"incomplete gamma fraction did not converge for a={a}, x={x}")
 
 
-# The smallest sum or mean of squares accepted from values that are not all
-# equal, 2**52 times the smallest normal double: below it a term may be
-# subnormal and lose bits, so the same data scaled by a power of two would
-# not give the same results scaled.
-SQUARES_MIN = 2.0**-970
+# frexp exponents of the largest finite double and of the smallest normal one
+_EXP_MAX, _EXP_MIN = 1024, -1021
+
+
+def scale_exponent(x: np.ndarray, axis: int | None = None):
+    """The frexp exponent e of max |x| along axis (0 for zeros): x * 2**-e has
+    its largest |value| in [0.5, 1), where no sum of squares over- or underflows."""
+    return np.frexp(np.max(np.abs(x), axis=axis))[1]
+
+
+def scaled_back(x, e, what):
+    """x * 2**e, e broadcast against x: the output rule of every stage.
+
+    A value whose nonzero result would not be a normal double is a DataError
+    naming it, decided from frexp exponents, so no floating-point flag is
+    raised.  ``what`` names x, or each of its values in an array-like of x's shape.
+    """
+    x = np.asarray(x, dtype=float)
+    ex = np.frexp(x)[1] + e
+    small = (ex < _EXP_MIN) & (x != 0.0)
+    bad = small | (ex > _EXP_MAX) | ~np.isfinite(x)
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        v, k = np.broadcast_to(x, bad.shape)[i], np.broadcast_to(e, bad.shape)[i]
+        label = what if isinstance(what, str) else np.broadcast_to(np.array(what), bad.shape)[i]
+        size = "small" if small[i] else "large"
+        raise DataError(f"{label} too {size}: {v:.6g} * 2**{k} is not a normal double")
+    return np.ldexp(x, e)
 
 
 def median_of_sorted(x: np.ndarray) -> float:

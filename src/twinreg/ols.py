@@ -9,20 +9,24 @@ triangular factor:
     (X'X)^-1 = R^-1 R^-T,   se_j = sqrt(sigma2_hat * [(X'X)^-1]_jj)
 
 with sigma2_hat = RSS / (n - p) and two-sided t tails for p-values.  The fit
-keeps Q, R and that diagonal, so the diagnostics factor nothing again: the
-VIFs come from the diagonal and Breusch-Pagan back-substitutes against Q, R.
+runs on X and y with each column scaled by the power of two that brings its
+largest |value| into [0.5, 1), an exact equilibration under which no sum of
+squares over- or underflows, and returns its loss-unit numbers through the
+output rule ``kernels.scaled_back``.  It keeps those exponents and the Q, R
+and diagonal of the scaled design, so the diagnostics and the sampler decide
+no scale and factor nothing again: the VIFs come from the diagonal and
+Breusch-Pagan back-substitutes against Q, R.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import ModelFrame, read_only
 from .errors import DataError, SingularDesignError
-from .kernels import SQUARES_MIN, chi2_sf, student_t_sf2
+from .kernels import chi2_sf, scale_exponent, scaled_back, student_t_sf2
 
 INTERCEPT_NAME = "(Intercept)"
 
@@ -57,9 +61,15 @@ class OlsFit:
     r2: float
     adj_r2: float
     df_resid: int
+    x_exp: np.ndarray  # the fit ran on X * 2**-x_exp, column by column,
+    y_exp: int  # and on y * 2**-y_exp; the fields below belong to that scale
     xtx_inv_diag: np.ndarray  # diagonal of (X'X)^-1
-    q: np.ndarray  # thin QR factors of the design, reused by diagnostics
+    q: np.ndarray  # thin QR factors, reused by diagnostics
     r: np.ndarray
+
+    def scaled_design(self, d: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """X and y of d at the scale this fit ran on."""
+        return np.ldexp(d.X, -self.x_exp), np.ldexp(d.y, -self.y_exp)
 
 
 @dataclass
@@ -83,15 +93,6 @@ def build_design(frame: ModelFrame) -> DesignMatrix:
         raise DataError(
             f"insufficient data: need more rows than parameters (n={n}, p={p})"
         )
-    # describe and the prior refuse such a column too (each row's sd has the
-    # bits of describe's); once its squares underflow, _factor cannot see it
-    rows = np.stack(cols)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = np.std(rows, axis=1, ddof=1)
-        tiny = np.flatnonzero((sd * sd < SQUARES_MIN) & (rows.min(axis=1) < rows.max(axis=1)))
-    if tiny.size:
-        name = frame.names[tiny[0]]
-        raise DataError(f"regressor {name!r} too small: its variance underflows a double")
     X = np.column_stack([np.ones(n)] + cols)
     return read_only(
         DesignMatrix(X=X, y=frame.loss.astype(float), names=(INTERCEPT_NAME,) + frame.names)
@@ -104,13 +105,7 @@ def _factor(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarr
     Each |R_jj| is compared with column j's own norm, so one column's scale
     cannot make another look dependent on the preceding ones.
     """
-    with np.errstate(over="ignore"):
-        sumsq = np.einsum("ij,ij->j", X, X)
-    over = np.nonzero(~np.isfinite(sumsq))[0]
-    if over.size:
-        raise DataError(
-            f"regressor {names[over[0]]!r} too large: its sum of squares overflows a double"
-        )
+    sumsq = np.einsum("ij,ij->j", X, X)
     Q, R = np.linalg.qr(X)
     bad = np.nonzero(np.abs(np.diag(R)) <= _RANK_TOL * np.sqrt(sumsq))[0]
     if bad.size:
@@ -142,31 +137,19 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
     if y.min() == y.max():
         raise DataError(f"response is constant ({float(y[0])!r}); there is nothing to explain")
 
+    x_exp, y_exp = scale_exponent(X, axis=0), int(scale_exponent(y))
+    X, y = np.ldexp(X, -x_exp), np.ldexp(y, -y_exp)
     Q, R = _factor(X, d.names)
     df_resid = n - p
-    with np.errstate(over="ignore", invalid="ignore"):
-        r_inv = np.linalg.solve(R, np.eye(p))
-        xtx_inv_diag = np.sum(r_inv * r_inv, axis=1)
-        beta = _back_substitute(Q, R, y)
-        fitted = X @ beta
-        resid = y - fitted
-        rss = float(resid @ resid)
-        sst = float(np.sum((y - y.mean()) ** 2))
-        sigma2 = rss / df_resid
-        se = np.sqrt(sigma2 * xtx_inv_diag)
-    # a tiny R_jj can blow up row j of R^-1 and the rows above it, never the
-    # rows below, so the last non-finite entry names the column
-    over = np.flatnonzero(~np.isfinite(xtx_inv_diag))
-    if over.size:
-        raise DataError(
-            f"regressor {d.names[over[-1]]!r} too small: "
-            "the inverse of its sum of squares overflows a double"
-        )
-    # a finite se needs a finite rss; sst is the largest sum of squares
-    if not (math.isfinite(sst) and np.isfinite(se).all()):
-        raise DataError("response too large: its sums of squares overflow a double")
-    if sst < SQUARES_MIN or (rss < SQUARES_MIN and resid.any()):
-        raise DataError("response too small: its sums of squares underflow a double")
+    r_inv = np.linalg.solve(R, np.eye(p))
+    xtx_inv_diag = np.sum(r_inv * r_inv, axis=1)
+    beta = _back_substitute(Q, R, y)
+    fitted = X @ beta
+    resid = y - fitted
+    rss = float(resid @ resid)
+    sst = float(np.sum((y - y.mean()) ** 2))
+    sigma2 = rss / df_resid
+    se = np.sqrt(sigma2 * xtx_inv_diag)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         t = beta / se
@@ -177,18 +160,21 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
     r2 = 1.0 - rss / sst
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - p)
 
+    coef_exp = y_exp - x_exp
     fit = OlsFit(
         names=d.names,
-        estimates=beta,
-        std_errors=se,
+        estimates=scaled_back(beta, coef_exp, [f"estimate of {c!r}" for c in d.names]),
+        std_errors=scaled_back(se, coef_exp, [f"std error of {c!r}" for c in d.names]),
         t_stats=t,
         p_values=pvals,
-        residuals=resid,
-        fitted=fitted,
-        sigma2_hat=sigma2,
+        residuals=scaled_back(resid, y_exp, "residuals"),
+        fitted=scaled_back(fitted, y_exp, "fitted values"),
+        sigma2_hat=float(scaled_back(sigma2, 2 * y_exp, "sigma2_hat")),
         r2=r2,
         adj_r2=adj_r2,
         df_resid=df_resid,
+        x_exp=x_exp,
+        y_exp=y_exp,
         xtx_inv_diag=xtx_inv_diag,
         q=Q,
         r=R,
@@ -202,27 +188,22 @@ def diagnostics(d: DesignMatrix, fit: OlsFit, vif_cutoff: float = 10.0) -> Diagn
     Advisory messages are collected (not raised) when max VIF reaches the
     cutoff or Durbin-Watson leaves [1.5, 2.5].
     """
-    X = d.X
+    X = fit.scaled_design(d)[0]
     n, p = X.shape
-    e = fit.residuals
+    e_exp = int(scale_exponent(fit.residuals))
+    e = np.ldexp(fit.residuals, -e_exp)
 
     # with an intercept in the design, VIF_j = SST_j * [(X'X)^-1]_jj
     sst = [float(np.sum((X[:, j] - X[:, j].mean()) ** 2)) for j in range(p)]
     vif = {d.names[j]: sst[j] * float(fit.xtx_inv_diag[j]) for j in range(1, p)}
 
-    # e^2 and e^4 can overflow where the fit's own sums did not
-    with np.errstate(over="ignore", invalid="ignore"):
-        e2 = e**2
-        resid2 = e2 - X @ _back_substitute(fit.q, fit.r, e2)
-        rss2 = float(resid2 @ resid2)
-        tss2 = float(np.sum((e2 - e2.mean()) ** 2))
-        ec = e - e.mean()
-        m2, m3, m4 = (float(np.mean(ec**k)) for k in (2, 3, 4))
-        diff2 = float(np.sum(np.diff(e) ** 2))
-    if not all(math.isfinite(v) for v in (rss2, tss2, m2, m3, m4, diff2)):
-        raise DataError("residuals too large: their squares or fourth powers overflow a double")
-    if m4 < SQUARES_MIN and ec.any():
-        raise DataError("residuals too small: their fourth powers underflow a double")
+    e2 = e**2
+    resid2 = e2 - X @ _back_substitute(fit.q, fit.r, e2)
+    rss2 = float(resid2 @ resid2)
+    tss2 = float(np.sum((e2 - e2.mean()) ** 2))
+    ec = e - e.mean()
+    m2, m3, m4 = (float(np.mean(ec**k)) for k in (2, 3, 4))
+    diff2 = float(np.sum(np.diff(e) ** 2))
 
     # Breusch-Pagan LM: n times the R^2 of e^2 regressed on the full design
     bp_stat = n * (1.0 - rss2 / tss2) if tss2 > 0.0 else 0.0
@@ -255,6 +236,6 @@ def diagnostics(d: DesignMatrix, fit: OlsFit, vif_cutoff: float = 10.0) -> Diagn
         jb_stat=float(jb_stat),
         jb_p=float(jb_p),
         dw_stat=dw,
-        mean_resid=float(e.mean()),
+        mean_resid=float(scaled_back(e.mean(), e_exp, "mean_resid")),
         advisories=tuple(advisories),
     )

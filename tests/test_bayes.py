@@ -61,14 +61,25 @@ class TestDefaultPrior:
         with pytest.raises(DataError):
             default_prior(make_design(), coef_sd=0.0)
 
+    # values whose variance overflows a double: the sds are taken at a power
+    # of two scale, so the prior is the one of the same column times 2**-900
+    # (no longer a data error), scaled back exactly
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("column", [0, 2])  # the response, a regressor
     def test_overflowing_variance_is_data_error(self, column):
-        d = make_design()
-        data = d.y if column == 0 else d.X[:, column]
-        data[:3] = 1e300
-        with pytest.raises(DataError, match="too large"):
-            default_prior(d)
+        d, ref = make_design(), make_design()
+        for design, k in ((d, 0), (ref, -900)):
+            data = design.y if column == 0 else design.X[:, column]
+            data[:3] = 1e300
+            data *= 2.0**k
+        prior, want = default_prior(d), default_prior(ref)
+        if column == 0:  # the response: every sd and the intercept's mean
+            want.coef_mean = np.ldexp(want.coef_mean, 900)
+            want.coef_sd = np.ldexp(want.coef_sd, 900)
+        else:  # that regressor's sd alone
+            want.coef_sd[column] = math.ldexp(want.coef_sd[column], -900)
+        assert np.array_equal(prior.coef_mean, want.coef_mean)
+        assert np.array_equal(prior.coef_sd, want.coef_sd)
 
     def test_validate_rejects_bad_shapes(self):
         d = make_design()

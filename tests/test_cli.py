@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scaling import OUTPUT_REFUSAL, REPORT_NAME, same_report
 from twinreg import bayes, data, kernels, ols
 from twinreg.cli import build_parser, main
 
@@ -386,7 +387,28 @@ class TestFailureExitCodes:
         assert err.startswith("data error:")
         assert "constant" in err
 
-    # each failure must be the one typed line, not numpy's RuntimeWarnings first
+    def answers_scaled(self, run, tmp_path, rows, column, k, command):
+        """Whether command on rows gives the report of rows with column times 2**-k, scaled
+        back by 2**k (see ``scaling``), or else one line refusing a returned value."""
+        col = HEADER.split(",").index(column)
+        ref_rows = [f.split(",") for f in rows]
+        for f in ref_rows:
+            f[col] = repr(math.ldexp(float(f[col]), -k))
+        ref_path = small_csv(tmp_path, [",".join(f) for f in ref_rows], "reference.csv")
+        code, ref, _ = run(command, "--input", ref_path, "--format", "json")
+        assert code == 0
+        code, out, err = run(command, "--input", small_csv(tmp_path, rows), "--format", "json")
+        if code:
+            assert out == b""
+            assert len(err.splitlines()) == 1 and OUTPUT_REFUSAL.match(err), err
+            return False
+        assert err == ""
+        assert same_report(json.loads(out), json.loads(ref), REPORT_NAME[column], k)
+        return True
+
+    # losses whose squares overflow: each command computes at a power-of-two
+    # scale, so it answers with the report of the losses times 2**-500,
+    # scaled back, or refuses sigma2_hat (loss squared), which does not fit
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "case, command",
@@ -395,7 +417,7 @@ class TestFailureExitCodes:
     )
     def test_overflowing_loss_is_one_data_error_line(self, run, tmp_path, case, command):
         loss = {
-            # the sums of squares and moments overflow
+            # the sums of squares and moments overflow, and so does sigma2_hat
             "five-1e200": lambda i, v: "1e200" if i < 5 else v,
             # the fit is finite; its residuals' fourth powers are not
             "one-1e100": lambda i, v: "1e100" if i == 0 else v,
@@ -407,12 +429,8 @@ class TestFailureExitCodes:
         lines = Path(FIXTURE).read_text().splitlines()
         rows = [",".join([f[0], loss(i, f[1]), *f[2:]])
                 for i, f in enumerate(ln.split(",") for ln in lines[1:])]
-        code, out, err = run(command, "--input", small_csv(tmp_path, rows))
-        assert code == 1
-        assert out == b""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("data error:")
-        assert "too large" in err
+        answered = self.answers_scaled(run, tmp_path, rows, "loss", 500, command)
+        assert answered == (case != "five-1e200" or command in ("describe", "anova"))
 
     @staticmethod
     def huge_population_csv(tmp_path, total_pop):
@@ -430,30 +448,27 @@ class TestFailureExitCodes:
         assert (code, err) == (0, "")
         assert b"AdjPop" in out
 
+    # AdjPop's sum of squares overflows: the fit equilibrates each column by
+    # a power of two, so each command answers with the report of total_pop
+    # times 2**-500, AdjPop's numbers scaled back (its PIROPE is in loss units)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["ols", "verdict", "report"])
     @pytest.mark.parametrize("total_pop", ["1e200", "1e300", "1e308"])
     def test_overflowing_population_is_one_data_error_line(
         self, run, tmp_path, command, total_pop
     ):
-        code, out, err = run(command, "--input", self.huge_population_csv(tmp_path, total_pop))
-        assert code == 1
-        assert out == b""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("data error: regressor 'AdjPop' too large:")
+        rows = Path(self.huge_population_csv(tmp_path, total_pop)).read_text().splitlines()[1:]
+        assert self.answers_scaled(run, tmp_path, rows, "total_pop", 500, command)
 
-    # AdjPop's squares underflow, so both the fit's (X'X)^-1 and the prior's
-    # variance of that column name it as too small
+    # AdjPop's squares underflow: each command answers with the fixture's
+    # report, AdjPop's numbers scaled by 2**-1000 (and 2**1000)
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", ["ols", "bayes", "verdict", "report"])
     def test_tiny_population_is_named(self, run, tmp_path, command):
         lines = Path(FIXTURE).read_text().splitlines()
         rows = [",".join([f[0], f[1], repr(math.ldexp(float(f[2]), -1000)), *f[3:]])
                 for f in (ln.split(",") for ln in lines[1:])]
-        code, out, err = run(command, "--input", small_csv(tmp_path, rows))
-        assert (code, out) == (1, b"")
-        assert len(err.splitlines()) == 1
-        assert err.startswith("data error: regressor 'AdjPop' too small:")
+        assert self.answers_scaled(run, tmp_path, rows, "total_pop", -1000, command)
 
     # a scaled column whose variance underflows is refused by every command
     # that reads it, ols included, or by none of them
@@ -560,7 +575,7 @@ class TestKeptStages:
         assert isinstance(diag, ols.Diagnostics)
         assert not any(isinstance(v, np.ndarray) for v in vars(diag).values())
         arrays = [v for r in (design, fit) for v in vars(r).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 2 + 9
+        assert len(arrays) == 2 + 10
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0

@@ -170,13 +170,33 @@ class TestFitOls:
         with pytest.raises(SingularDesignError, match="x2"):
             fit_ols(DesignMatrix(X=X, y=d.y, names=d.names))
 
+    # a column whose sum of squares overflows: the fit runs on each column at
+    # its own power-of-two scale, so it is the fit of that column times
+    # 2**-600 (no longer a data error), with x3's coefficient scaled back
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_column_is_named_data_error(self):
         d = random_design(np.random.default_rng(13), 20, 4)
         X = d.X.copy()
         X[0, 3] = 1e200
-        with pytest.raises(DataError, match="^regressor 'x3' too large"):
-            fit_ols(DesignMatrix(X=X, y=d.y, names=d.names))
+        fit = fit_ols(DesignMatrix(X=X, y=d.y, names=d.names))
+        X[:, 3] = np.ldexp(X[:, 3], -600)
+        ref = fit_ols(DesignMatrix(X=X, y=d.y, names=d.names))
+        for got, want in ((fit.estimates, ref.estimates), (fit.std_errors, ref.std_errors)):
+            assert np.array_equal(got[:3], want[:3])
+            assert got[3] == math.ldexp(want[3], -600)
+        for field in ("t_stats", "p_values", "residuals", "fitted"):
+            assert np.array_equal(getattr(fit, field), getattr(ref, field))
+        assert (fit.sigma2_hat, fit.r2) == (ref.sigma2_hat, ref.r2)
+
+    # c = 2**k (a + b) is dependent at any scale; the rank check sees it on
+    # the scaled design, so a tiny c is never blamed on its size
+    @pytest.mark.parametrize("k", [0, 500, -500, -540, -600, -1000])
+    def test_tiny_or_huge_dependent_column_is_named(self, k):
+        d = random_design(np.random.default_rng(14), 30, 3)
+        c = np.ldexp(d.X[:, 1] + d.X[:, 2], k)
+        names = (*d.names, "c")
+        with pytest.raises(SingularDesignError, match="'c' is linearly dependent"):
+            fit_ols(DesignMatrix(X=np.column_stack([d.X, c]), y=d.y, names=names))
 
     def test_nonfinite_input_rejected(self):
         rng = np.random.default_rng(9)
@@ -194,18 +214,20 @@ class TestFitOls:
         with pytest.raises(DataError, match="constant"):
             fit_ols(DesignMatrix(X=d.X, y=np.full(37, level), names=d.names))
 
+    # rss of the response times 2**-480 lies below the normal doubles; the
+    # fit runs on y at its own scale, so the t statistics still equal the
+    # unscaled fit's (no longer refused) and the estimates scale exactly
     def test_near_exact_fit_whose_residual_squares_underflow_is_refused(self):
-        # sst stays far above the subnormal range at 2**-480, rss does not:
-        # unrefused, a t statistic there differs from the unscaled fit's
         rng = np.random.default_rng(0)
         X = np.column_stack([np.ones(40), np.arange(40.0), rng.normal(size=40)])
         y = X @ np.array([1.0, 0.5, -2.0]) + 1e-9 * rng.normal(size=40)
         names = ("(Intercept)", "a", "b")
         base = fit_ols(DesignMatrix(X=X, y=y, names=names))
-        scaled = fit_ols(DesignMatrix(X=X, y=np.ldexp(y, -440), names=names))
-        assert np.array_equal(scaled.t_stats, base.t_stats)
-        with pytest.raises(DataError, match="response too small"):
-            fit_ols(DesignMatrix(X=X, y=np.ldexp(y, -480), names=names))
+        for k in (-440, -480):
+            scaled = fit_ols(DesignMatrix(X=X, y=np.ldexp(y, k), names=names))
+            assert np.array_equal(scaled.t_stats, base.t_stats)
+            assert np.array_equal(scaled.estimates, np.ldexp(base.estimates, k))
+            assert np.array_equal(scaled.residuals, np.ldexp(base.residuals, k))
 
 
 class TestDiagnostics:

@@ -1,10 +1,12 @@
-"""The fixture with its loss column scaled by a power of two.
+"""The fixture with one column scaled by a power of two.
 
-Scaling every loss by 2**k scales each loss-unit number of an exact pipeline
-by 2**k (sigma2_hat by 2**2k) and leaves the rest unchanged, bit for bit, as
-long as no intermediate value overflows or turns subnormal.  So each run
-must either reproduce the fixture's JSON that way or refuse the input with
-exit 1, no output and one ``data error:`` line.
+Scaling a column by 2**k is exact, and every stage computes at a power-of-two
+scale of its own, so each number of a report is scaled exactly too, or not
+at all (see ``scaling``).  So each run must either reproduce the fixture's
+JSON that way or refuse the input with exit 1, no output and one
+``data error:`` line naming a returned value that does not fit a normal
+double.  A k is skipped only when the scaled column itself, or the design
+column made from it, does not scale back exactly.
 """
 
 import contextlib
@@ -14,18 +16,27 @@ import math
 from pathlib import Path
 
 import pytest
+from scaling import OUTPUT_REFUSAL, REPORT_NAME, expected, same_report, scaled_text
 
 from twinreg.cli import main
+
+# a numpy warning would be an extra stderr line
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv"
 
 COMMANDS = (["describe"], ["anova"], ["anova", "--group", "year"], ["ols"], ["bayes"], ["verdict"])
+# the same at 1000 draws, for the grid of every column
+GRID_COMMANDS = [c + ["--draws", "1000"] if c[0] in ("bayes", "verdict") else c for c in COMMANDS]
 
-# JSON keys in units of the loss (power 1) or of its square (power 2)
-LOSS_POWER = {
-    "estimate": 1, "std_error": 1, "mean_resid": 1, "sigma2_hat": 2,
-    "rope": 1, "median": 1, "ci_low": 1, "ci_high": 1, "ci_midpoint": 1,
-}
+# every k at the edges of the loss range of ols and bayes and where a scaled
+# regressor's coefficient nears the largest double, and a sparse grid out to
+# the ends of the doubles
+K_GRID = (
+    list(range(-1023, -1007)) + list(range(-512, -499)) + list(range(505, 521))
+    + [-1060, -1000, -900, -800, -700, -600, -540, -520, -400, -300, -200, -100,
+       100, 200, 300, 400, 600, 700, 800, 900, 1000, 1020]
+)
 
 
 def run_json(argv):
@@ -37,39 +48,43 @@ def run_json(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def scaled_csv(path, k):
-    lines = FIXTURE.read_text().splitlines()
-    col = lines[0].split(",").index("loss")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        cells[col] = repr(math.ldexp(float(cells[col]), k))
-        rows.append(",".join(cells))
-    path.write_text("\n".join([lines[0], *rows]) + "\n")
+def scaled_csv(path, k, column="loss"):
+    """The fixture with column times 2**k at path; None if that is not exact."""
+    text = scaled_text(FIXTURE.read_text(), column, k)
+    if text is None:
+        return None
+    path.write_text(text)
     return str(path)
 
 
-def scaled(ref, power, k):
-    """ref with every float scaled by 2**(power * k), other values as they are."""
-    if isinstance(ref, dict):
-        if "sd" in ref:  # a descriptive row: only the Loss row is in loss units
-            return {key: scaled(v, ref["name"] == "Loss", k) for key, v in ref.items()}
-        return {key: scaled(v, LOSS_POWER.get(key, power), k) for key, v in ref.items()}
-    if isinstance(ref, list):
-        return [scaled(v, power, k) for v in ref]
-    if isinstance(ref, float):
-        return math.ldexp(ref, power * k)
-    return ref
+def check(run, ref, column, k):
+    """run reproduces the report ref with column times 2**k, or refuses a returned value."""
+    code, out, err = run
+    if code == 0:
+        assert err == ""
+        assert same_report(json.loads(out), ref, REPORT_NAME[column], k)
+    else:
+        assert (code, out) == (1, b"")
+        assert len(err.splitlines()) == 1 and OUTPUT_REFUSAL.match(err), err
 
 
-@pytest.fixture(scope="module")
-def fixture_json():
+def fixture_reports(commands):
     out = {}
-    for command in COMMANDS:
+    for command in commands:
         code, text, _ = run_json([*command, "--input", str(FIXTURE)])
         assert code == 0
         out[tuple(command)] = json.loads(text)
     return out
+
+
+@pytest.fixture(scope="module")
+def fixture_json():
+    return fixture_reports(COMMANDS)
+
+
+@pytest.fixture(scope="module")
+def grid_json():
+    return fixture_reports(GRID_COMMANDS)
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
@@ -77,10 +92,36 @@ def fixture_json():
     "k", [-1000, -600, -540, -530, -500, -400, -300, -200, -100, 100, 200, 400, 900]
 )
 def test_scaled_loss_reproduces_the_fixture_or_is_refused(tmp_path, fixture_json, command, k):
-    code, out, err = run_json([*command, "--input", scaled_csv(tmp_path / "scaled.csv", k)])
-    if code == 0:
-        assert err == ""
-        assert json.loads(out) == scaled(fixture_json[tuple(command)], 0, k)
-    else:
-        assert (code, out) == (1, b"")
-        assert len(err.splitlines()) == 1 and err.startswith("data error: ")
+    path = scaled_csv(tmp_path / "scaled.csv", k)
+    check(run_json([*command, "--input", path]), fixture_json[tuple(command)], "loss", k)
+
+
+# each column that scales; a regressor's own PIROPE is not compared, as the
+# ROPE is fixed in loss units
+@pytest.mark.parametrize("k", K_GRID)
+@pytest.mark.parametrize("column", list(REPORT_NAME))
+def test_scaled_column_reproduces_the_fixture_or_refuses_an_output(
+    tmp_path, grid_json, column, k
+):
+    path = scaled_csv(tmp_path / "scaled.csv", k, column)
+    if path is None:
+        pytest.skip(f"{column} times 2**{k} is not exact in the input")
+    for command in GRID_COMMANDS:
+        check(run_json([*command, "--input", path]), grid_json[tuple(command)], column, k)
+
+
+# every number ols returns fits a double here, so it answers
+@pytest.mark.parametrize("k", [-500, -400, 400, 500])
+def test_ols_answers_the_loss_scaled_far_beyond_its_squares(tmp_path, fixture_json, k):
+    code, out, err = run_json(["ols", "--input", scaled_csv(tmp_path / "scaled.csv", k)])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == expected(fixture_json[("ols",)], "Loss", k)
+
+
+# the draws' spread is formed at their own scale, so bayes answers with a
+# Ratio coefficient of 2**1019 and a posterior sd of 2**1018
+def test_bayes_answers_a_coefficient_near_the_largest_double(tmp_path, grid_json):
+    command = ["bayes", "--draws", "1000"]
+    code, out, err = run_json([*command, "--input", scaled_csv(tmp_path / "s.csv", -1010, "ratio")])
+    assert (code, err) == (0, "")
+    assert same_report(json.loads(out), grid_json[tuple(command)], "Ratio", -1010)
