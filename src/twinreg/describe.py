@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import ModelFrame
 from .errors import DataError
-from .kernels import f_sf, scale_exponent, scaled_back
+from .kernels import f_sf, median_of_sorted, scale_exponent, scaled_back
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,9 @@ def summarize(frame: ModelFrame) -> list[SummaryRow]:
     exp = scale_exponent(cols, axis=1)[:, None]
     cols = np.ldexp(cols, -exp)
     ranked = np.sort(cols, axis=1)
-    stats = np.column_stack([  # mean, sd, median (as np.median's), min, max
+    stats = np.column_stack([  # mean, sd, median, min, max
         cols.mean(axis=1), cols.std(axis=1, ddof=1) if n > 1 else np.zeros(len(cols)),
-        (ranked[:, (n - 1) // 2] + ranked[:, n // 2]) / 2, ranked[:, 0], ranked[:, -1],
+        median_of_sorted(ranked), ranked[:, 0], ranked[:, -1],
     ])
     what = [[f"{s} of {name!r}" for s in ("mean", "sd", "median", "min", "max")] for name in names]
     rows = scaled_back(stats, exp, what)

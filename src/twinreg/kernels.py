@@ -221,12 +221,12 @@ def scaled_back(x, e, what):
     return np.ldexp(x, e)
 
 
-def median_of_sorted(x: np.ndarray) -> float:
-    """Median of an ascending array, bit-identical to ``np.median`` of it."""
-    n = len(x)
+def median_of_sorted(x: np.ndarray):
+    """Median along the last axis of ascending rows, bit-identical to ``np.median``."""
+    n = x.shape[-1]
     if n % 2:
-        return float(x[n // 2])
-    return float((x[n // 2 - 1] + x[n // 2]) / 2)
+        return x[..., n // 2]
+    return (x[..., n // 2 - 1] + x[..., n // 2]) / 2
 
 
 _U64_MASK = (1 << 64) - 1
