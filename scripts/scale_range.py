@@ -52,7 +52,7 @@ COMMANDS = {
 # run with one tree's src on PYTHONPATH: reads [csv path, [[argv, ...] per
 # file]] on stdin, where each file's scaled text comes first, and writes
 # [exit code, stdout, stderr] for each run, all made by one process
-DRIVER = """
+RUNNER = """
 import contextlib, io, json, sys
 from twinreg.cli import main
 path, files = json.load(sys.stdin)
@@ -75,7 +75,7 @@ def run_tree(root: Path, files: list, chunk: int = 100):
     with tempfile.TemporaryDirectory() as tmp:
         for i in range(0, len(files), chunk):
             done = subprocess.run(
-                [sys.executable, "-c", DRIVER],
+                [sys.executable, "-c", RUNNER],
                 input=json.dumps([str(Path(tmp) / "scaled.csv"), files[i : i + chunk]]),
                 capture_output=True,
                 text=True,
