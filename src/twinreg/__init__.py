@@ -19,7 +19,6 @@ from .data import (
     Observation,
     aggregate_prior_month,
     apply_transforms,
-    load_frame,
     parse_csv,
     parse_daily_csv,
 )

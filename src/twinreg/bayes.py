@@ -158,11 +158,14 @@ def sample_posterior(
 
     # at the fit's scale, an sd whose square overflows gives precision 0, a flat
     # prior; a sigma2 scale that overflows, sigma2 draws the output rule refuses
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         lam0 = s2_ols / np.ldexp(prior.coef_sd, -coef_exp) ** 2
         mu0 = np.ldexp(prior.coef_mean, -coef_exp)
         scale = prior.sigma2_scale
         b0 = prior.sigma2_shape * s2_ols if scale is None else float(np.ldexp(scale, -2 * y_exp))
+    if not np.isfinite(lam0).all():  # an sd so small that its precision overflows
+        j = int(np.argmin(np.isfinite(lam0)))
+        raise DataError(f"prior sd of {d.names[j]!r} too small: {prior.coef_sd[j]:.6g}")
     A = Z.T @ Z + np.diag(lam0)
     # A = L L' so A^-1 = U_inv U_inv' with U_inv = (L')^-1, a single p x p inverse
     U_inv = np.linalg.inv(np.linalg.cholesky(A).T)

@@ -6,7 +6,7 @@ import argparse
 import datetime
 import math
 import sys
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 from . import bayes, data, describe, ols, report
 from .errors import ConsistencyError, ConvergenceError, DataError, ParseError, SingularDesignError
@@ -121,21 +121,19 @@ def _check_ranges(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         parser.error("--vif-cutoff must be a number or inf, got nan")
 
 
-# the results of the stages that read nothing but the input, kept beside the
-# last frame so runs on unchanged bytes share them: that frame, results by key
-_kept: tuple[data.ModelFrame, dict] | None = None
+@lru_cache(maxsize=1)
+def _kept(raw: bytes) -> tuple[data.ModelFrame, dict]:
+    """The last good input's frame, keyed by its bytes, and its input-only stage results."""
+    return data.apply_transforms(data.parse_csv(raw)), {}
 
 
 class _Stages:
     """The pipeline stages of one run; each is computed at most once, on demand."""
 
     def __init__(self, args: argparse.Namespace):
-        global _kept
         self.args = args
-        self.frame = data.load_frame(args.input)
-        if _kept is None or _kept[0] is not self.frame:
-            _kept = self.frame, {}
-        self._results = _kept[1]
+        with open(args.input, "rb") as fh:
+            self.frame, self._results = _kept(fh.read())
 
     def _once(self, key, stage, *args):
         """stage(*args), kept beside the frame under key; a stage that raises is not kept."""

@@ -236,26 +236,6 @@ def read_only(result):
     return result
 
 
-# the last input that loaded without error: its bytes and its frame
-_last_loaded: tuple[bytes, ModelFrame] | None = None
-
-
-def load_frame(path: str) -> ModelFrame:
-    """The ModelFrame of the quarterly CSV at ``path``.
-
-    The last input that loaded without error is kept, keyed by its full
-    bytes, so loading unchanged bytes again returns the same read-only frame
-    without parsing; any other bytes are parsed and checked afresh.
-    """
-    global _last_loaded
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    last = _last_loaded
-    if last is None or last[0] != raw:
-        last = _last_loaded = raw, apply_transforms(parse_csv(raw))
-    return last[1]
-
-
 def _prior_month(quarter_start: datetime.date) -> tuple[int, int]:
     if quarter_start.month == 1:
         return quarter_start.year - 1, 12

@@ -4,6 +4,7 @@ import argparse
 import gc
 import json
 import math
+import warnings
 import weakref
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from scaling import OUTPUT_REFUSAL, REPORT_NAME, same_report
-from twinreg import bayes, data, kernels, ols
+from twinreg import DataError, bayes, cli, data, kernels, ols
 from twinreg.cli import build_parser, main
 
 FIXTURE = str(Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv")
@@ -500,6 +501,27 @@ class TestFailureExitCodes:
         assert (code, out) == (1, b"")
         assert err == f"data error: sigma2 prior {what} must be finite and positive, got {value}\n"
 
+    @pytest.mark.parametrize("command", ["bayes", "verdict"])
+    @pytest.mark.parametrize("sd", ["1e-160", "1e-165", "1e-300"])
+    def test_coef_sd_beyond_the_doubles_is_one_data_error_line(self, run, sd, command):
+        # at the fit's scale the prior precision s2 / sd**2 overflows, or sd**2 underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(command, "--input", FIXTURE, "--coef-sd", sd)
+        assert (code, out) == (1, b"")
+        assert err == f"data error: prior sd of '(Intercept)' too small: {float(sd):.6g}\n"
+
+    def test_coef_sd_just_inside_the_doubles_is_unchanged(self, run):
+        code, out, err = run("bayes", "--input", FIXTURE, "--coef-sd", "1e-150")
+        assert (code, err) == (0, "")
+        assert b"AdjPop | 0.00 | [-0.00, 0.00]" in out
+        code, out, err = run("bayes", "--input", FIXTURE, "--coef-sd", "1e-155")
+        assert (code, out) == (1, b"")
+        assert err == (
+            "data error: posterior of 'AdjPop' too small: -7.27541e-309 * 2**0 "
+            "is not a normal double\n"
+        )
+
     def test_draws_beyond_memory_is_one_memory_error_line(self, run):
         # 8 PB of sigma2 draws exceeds the x86-64 user address space, so the
         # first allocation fails at once without touching memory
@@ -530,7 +552,7 @@ class TestPipeline:
             calls.append(1)
             return qr(*args, **kwargs)
 
-        monkeypatch.setattr(data, "_last_loaded", None)  # nothing kept from earlier tests
+        cli._kept.cache_clear()  # nothing kept from earlier tests
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         code, _, _ = run(command, "--input", FIXTURE, "--format", "json")
         assert code == 0
@@ -545,8 +567,8 @@ class TestKeptStages:
     """The stages that read nothing but the input are kept beside its frame."""
 
     @pytest.fixture(autouse=True)
-    def nothing_kept(self, monkeypatch):
-        monkeypatch.setattr(data, "_last_loaded", None)
+    def nothing_kept(self):
+        cli._kept.cache_clear()
 
     def test_one_qr_per_input_across_commands(self, run, monkeypatch, tmp_path):
         calls = []
@@ -601,8 +623,8 @@ class TestRepeatedInput:
     """cli.main keeps the last good input's frame, keyed by the file's bytes."""
 
     @pytest.fixture(autouse=True)
-    def nothing_kept(self, monkeypatch):
-        monkeypatch.setattr(data, "_last_loaded", None)
+    def nothing_kept(self):
+        cli._kept.cache_clear()
 
     def test_rewritten_file_prints_the_new_report(self, run, tmp_path):
         lines = Path(FIXTURE).read_text().splitlines()
@@ -618,7 +640,10 @@ class TestRepeatedInput:
         small_csv(tmp_path, lines[1:])
         assert run("describe", "--input", path) == first
 
-    def test_parse_error_between_good_calls(self, run, tmp_path):
+    def test_parse_error_between_good_calls(self, run, tmp_path, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(1) or qr(*a, **k))
         good = ["ols", "--input", FIXTURE, "--format", "json"]
         bad = ["ols", "--input", small_csv(tmp_path, ["2011-04-01,x,1,1,1,1,1"])]
         want = run(*good)
@@ -626,6 +651,54 @@ class TestRepeatedInput:
         for _ in range(2):
             assert run(*bad) == (1, b"", "parse error: line 2: non-numeric loss field 'x'\n")
             assert run(*good) == want
+        assert len(calls) == 1  # the failed input leaves the kept fit alone
+
+
+class TestKeptRecord:
+    """cli._kept holds one input: its bytes, its frame and its stage results."""
+
+    COLUMNS = (
+        "month_index", "year_index", "adj_pop", "ratio", "aplir", "ffr", "exp_claims", "loss",
+    )
+
+    @pytest.fixture(autouse=True)
+    def nothing_kept(self):
+        cli._kept.cache_clear()
+
+    @staticmethod
+    def csv(*dates, claims="3000000"):
+        rows = [f"{d},0.{i + 5},300000000,0.97,3.3,0.1,{claims}" for i, d in enumerate(dates)]
+        return "\n".join([HEADER, *rows]).encode() + b"\n"
+
+    def test_frame_is_read_only_on_first_load_and_on_a_hit(self):
+        kept = cli._kept(self.csv("2011-04-01", "2011-07-01"))
+        assert cli._kept(self.csv("2011-04-01", "2011-07-01")) is kept
+        first = kept[0]
+        want = data.apply_transforms(data.parse_csv(self.csv("2011-04-01", "2011-07-01")))
+        for name in self.COLUMNS:
+            column = getattr(first, name)
+            assert np.array_equal(column, getattr(want, name))
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
+
+    def test_one_entry_only(self):
+        ref = weakref.ref(cli._kept(self.csv("2011-04-01", "2011-07-01"))[0])
+        cli._kept(self.csv("2011-04-01"))
+        gc.collect()
+        assert ref() is None
+
+    def test_failed_load_keeps_the_last_good_frame(self, monkeypatch):
+        good = self.csv("2011-04-01", "2011-07-01")
+        bad = self.csv("2011-04-01", "2011-07-01", claims="1e12")
+        first = cli._kept(good)
+        parsed = []
+        parse_csv = data.parse_csv
+        monkeypatch.setattr(data, "parse_csv", lambda raw: parsed.append(raw) or parse_csv(raw))
+        for _ in range(2):
+            with pytest.raises(DataError, match="overflows exp"):
+                cli._kept(bad)
+            assert cli._kept(good) is first
+        assert len(parsed) == 2  # the bad input, on each call
 
 
 class TestParser:

@@ -1,10 +1,8 @@
 """Tests for CSV ingestion, quarterly transforms, and the daily aggregator."""
 
 import datetime
-import gc
 import math
 import random
-import weakref
 
 import numpy as np
 import pytest
@@ -15,8 +13,6 @@ from twinreg import (
     ParseError,
     aggregate_prior_month,
     apply_transforms,
-    data,
-    load_frame,
     parse_csv,
     parse_daily_csv,
 )
@@ -206,55 +202,6 @@ class TestEncodeTime:
             encode_time(datetime.date(2011, 7, 1), datetime.date(2011, 4, 2))
 
 
-class TestLoadFrame:
-    COLUMNS = (
-        "month_index", "year_index", "adj_pop", "ratio", "aplir", "ffr", "exp_claims", "loss",
-    )
-
-    @pytest.fixture(autouse=True)
-    def nothing_kept(self, monkeypatch):
-        monkeypatch.setattr(data, "_last_loaded", None)
-
-    def write(self, tmp_path, *rows, name="in.csv"):
-        path = tmp_path / name
-        path.write_bytes(make_csv(*rows))
-        return str(path)
-
-    def test_frame_is_read_only_on_first_load_and_on_a_hit(self, tmp_path):
-        rows = row("2011-04-01"), row("2011-07-01", loss="0.9")
-        path = self.write(tmp_path, *rows)
-        first = load_frame(path)
-        assert load_frame(path) is first
-        want = apply_transforms(parse_csv(make_csv(*rows)))
-        for name in self.COLUMNS:
-            column = getattr(first, name)
-            assert np.array_equal(column, getattr(want, name))
-            with pytest.raises(ValueError, match="read-only"):
-                column[0] = 0
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(want, name)[0] = 0
-
-    def test_one_entry_only(self, tmp_path):
-        first = load_frame(self.write(tmp_path, row("2011-04-01"), row("2011-07-01")))
-        ref = weakref.ref(first)
-        del first
-        load_frame(self.write(tmp_path, row("2011-04-01"), name="other.csv"))
-        gc.collect()
-        assert ref() is None
-
-    def test_failed_load_keeps_the_last_good_frame(self, tmp_path, monkeypatch):
-        good = self.write(tmp_path, row("2011-04-01"), row("2011-07-01"))
-        bad = self.write(tmp_path, row("2011-04-01"), row("2011-07-01", claims="1e12"), name="x")
-        first = load_frame(good)
-        parsed = []
-        monkeypatch.setattr(data, "parse_csv", lambda raw: parsed.append(raw) or parse_csv(raw))
-        for _ in range(2):
-            with pytest.raises(DataError, match="overflows exp"):
-                load_frame(bad)
-            assert load_frame(good) is first
-        assert len(parsed) == 2  # the bad input, on each call
-
-
 class TestApplyTransforms:
     def test_column_values(self):
         obs = parse_csv(
@@ -276,6 +223,14 @@ class TestApplyTransforms:
         assert frame.dates[0] == datetime.date(2011, 10, 1)
         assert list(frame.month_index) == [1, 3]
         assert list(frame.year_index) == [1, 2]
+
+    def test_every_column_is_read_only(self):
+        frame = apply_transforms(parse_csv(make_csv(row("2011-04-01"), row("2011-07-01"))))
+        for name in (
+            "month_index", "year_index", "adj_pop", "ratio", "aplir", "ffr", "exp_claims", "loss",
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(frame, name)[0] = 0
 
     def test_transform_is_deterministic(self):
         obs = parse_csv(make_csv(row("2011-04-01"), row("2011-07-01", loss="0.9")))

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from twinreg import data
+from twinreg import cli, data
 from twinreg.cli import main
 
 ROOT = Path(__file__).resolve().parent
@@ -43,7 +43,7 @@ def test_stdout_matches_golden(case, fmt, capfdbinary):
 def test_each_case_twice_parses_once(case, fmt, capfdbinary, monkeypatch):
     parsed = []
     parse_csv = data.parse_csv
-    monkeypatch.setattr(data, "_last_loaded", None)
+    cli._kept.cache_clear()
     monkeypatch.setattr(data, "parse_csv", lambda raw: parsed.append(1) or parse_csv(raw))
     golden = (ROOT / "golden" / f"{case}_{fmt}.out").read_bytes()
     for _ in range(2):
@@ -67,7 +67,7 @@ def test_one_process_runs_errors_then_every_case(tmp_path, capfdbinary):
         assert cap.out == (ROOT / "golden" / f"{case}_{fmt}.out").read_bytes(), (case, fmt)
 
 
-def test_one_process_prints_what_fresh_runs_print(tmp_path, capfdbinary, monkeypatch):
+def test_one_process_prints_what_fresh_runs_print(tmp_path, capfdbinary):
     good = Path(FIXTURE).read_text()
     header, first, *rest = good.splitlines(keepends=True)
     rewrite = first.replace(",0.", ",9.", 1)  # the same length, so only the bytes differ
@@ -91,7 +91,7 @@ def test_one_process_prints_what_fresh_runs_print(tmp_path, capfdbinary, monkeyp
 
     fresh = {}
     for content, argv in steps:
-        monkeypatch.setattr(data, "_last_loaded", None)
+        cli._kept.cache_clear()
         fresh[content, tuple(argv)] = run(content, argv)
     assert fresh[singular, ("ols",)][2].startswith(b"singular design: ")
     for content, argv in steps + steps[::-1] + [s for s in steps for _ in (0, 1)]:
