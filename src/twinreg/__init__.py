@@ -42,7 +42,6 @@ from .kernels import (
     RandomSource,
     chi2_sf,
     f_sf,
-    ln_gamma,
     reg_inc_beta,
     student_t_sf2,
 )

@@ -1,10 +1,8 @@
 """Special functions, distribution tails, and a seedable random source.
 
-Everything here is self-contained so that results are reproducible from the
-named algorithms alone:
+Everything here is reproducible from the named algorithms and the standard
+library's ``math.lgamma``, which gives every tail its log-gamma terms:
 
-* ``ln_gamma``      -- Lanczos approximation (g = 7, 9 coefficients) with the
-                       reflection formula below x = 0.5.
 * ``reg_inc_beta``  -- continued fraction evaluated by the modified Lentz
                        method, switching via the symmetry relation at
                        x = (a + 1)/(a + b + 2).
@@ -36,44 +34,9 @@ import numpy as np
 
 from .errors import ConvergenceError, DataError
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
-_LN_PI = math.log(math.pi)
-
 _CF_EPS = 3e-16
 _CF_TINY = 1e-300
 _CF_MAX_ITER = 500
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the Lanczos series in its accurate half-plane
-        return _LN_PI - math.log(math.sin(math.pi * x)) - _ln_gamma_lanczos(1.0 - x)
-    return _ln_gamma_lanczos(x)
-
-
-def _ln_gamma_lanczos(x: float) -> float:
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LN_2PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
 def reg_inc_beta(a: float, b: float, x: float) -> float:
@@ -87,9 +50,9 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     if x == 1.0:
         return 1.0
     ln_front = (
-        ln_gamma(a + b)
-        - ln_gamma(a)
-        - ln_gamma(b)
+        math.lgamma(a + b)
+        - math.lgamma(a)
+        - math.lgamma(b)
         + a * math.log(x)
         + b * math.log1p(-x)
     )
@@ -170,7 +133,7 @@ def _gamma_p_series(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _CF_EPS:
-            return total * math.exp(-x + a * math.log(x) - ln_gamma(a))
+            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
     raise ConvergenceError(f"incomplete gamma series did not converge for a={a}, x={x}")
 
 
@@ -187,7 +150,7 @@ def _gamma_q_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
-            return h * math.exp(-x + a * math.log(x) - ln_gamma(a))
+            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
     raise ConvergenceError(f"incomplete gamma fraction did not converge for a={a}, x={x}")
 
 
@@ -437,9 +400,9 @@ class RandomSource:
     cos(2 pi u2), where the cosine is an exact fold and a fixed polynomial
     (``_cos_2pi_into``) that gives the same bits on any CPU; the log is
     numpy's, whose last bit may depend on the SIMD level numpy dispatches.
-    ``inverse_gammas`` takes one normal and one uniform per candidate in each
-    batched Marsaglia-Tsang rejection round, whose (1 + c x)**3 is a product
-    of three factors, not a power, plus n uniforms when shape < 1.
+    ``inverse_gammas`` (shape >= 1) takes one normal and one uniform per
+    candidate in each batched Marsaglia-Tsang rejection round, whose
+    (1 + c x)**3 is a product of three factors, not a power.
 
     ``normal_rows(out)`` fills a (rows, p) array with the same normals that
     ``normals(rows * p)`` would return, row after row: normal (r, j) uses
@@ -526,12 +489,11 @@ class RandomSource:
 
     def inverse_gammas(self, n: int, shape: float, scale: float) -> np.ndarray:
         """n inverse-gamma variates with batched (vectorized) rejection."""
-        if not (shape > 0.0 and scale > 0.0):
+        if not (shape >= 1.0 and scale > 0.0):
             raise ValueError(
-                f"inverse_gammas requires shape, scale > 0, got {shape}, {scale}"
+                f"inverse_gammas requires shape >= 1 and scale > 0, got {shape}, {scale}"
             )
-        alpha = shape if shape >= 1.0 else shape + 1.0
-        d = alpha - 1.0 / 3.0
+        d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         out = np.empty(n)
         # the first round draws one candidate per output, in order, straight
@@ -544,7 +506,4 @@ class RandomSource:
             accept = _marsaglia_tsang_into(dv, self.normals(m), self.uniforms(m), c, d)
             out[pending[accept]] = dv[accept]
             pending = pending[~accept]
-        if shape < 1.0:
-            u = 1.0 - self.uniforms(n)
-            out *= u ** (1.0 / shape)
         return scale / out

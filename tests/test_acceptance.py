@@ -3,7 +3,8 @@
 Each test appends a single pass/fail line to the checklist that conftest
 prints after the run.  Oracles are independent of the implementation:
 normal-equations algebra, brute-force sums of squares, adaptive quadrature
-of hand-written densities, and closed-form posterior calibration.
+of hand-written densities (normalized by ``oracles.ln_gamma``, not by the
+``math.lgamma`` the tails use), and closed-form posterior calibration.
 """
 
 import json
@@ -18,6 +19,7 @@ import pytest
 from scipy import integrate
 
 import twinreg as T
+from oracles import ln_gamma
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "data" / "loanloss_quarterly.csv"
@@ -150,19 +152,19 @@ def test_criterion_4_linear_algebra_oracles(acceptance_log):
 
 
 def _t_density(df):
-    c = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) / math.sqrt(df * math.pi)
+    c = math.exp(ln_gamma((df + 1) / 2) - ln_gamma(df / 2)) / math.sqrt(df * math.pi)
     return lambda u: c * (1.0 + u * u / df) ** (-(df + 1) / 2)
 
 
 def _f_density(d1, d2):
     c = math.exp(
-        math.lgamma((d1 + d2) / 2) - math.lgamma(d1 / 2) - math.lgamma(d2 / 2)
+        ln_gamma((d1 + d2) / 2) - ln_gamma(d1 / 2) - ln_gamma(d2 / 2)
     ) * (d1 / d2) ** (d1 / 2)
     return lambda u: c * u ** (d1 / 2 - 1) * (1.0 + d1 * u / d2) ** (-(d1 + d2) / 2)
 
 
 def _chi2_density(df):
-    c = 1.0 / (2 ** (df / 2) * math.exp(math.lgamma(df / 2)))
+    c = 1.0 / (2 ** (df / 2) * math.exp(ln_gamma(df / 2)))
     return lambda u: c * u ** (df / 2 - 1) * math.exp(-u / 2)
 
 

@@ -41,7 +41,7 @@ CALLS = {}
 for _n in SIZES:
     CALLS[f"normals-{_n}"] = _normals(_n, False)
     CALLS[f"normals-{_n}-moved"] = _normals(_n, True)
-for _shape in (0.3, 1.0, 19.5):
+for _shape in (1.0, 19.5):
     CALLS[f"inverse_gammas-{_shape}"] = _inverse_gammas(_shape)
 
 # (seed, call): (sha256 of the float64 output bytes, counter after the call)
@@ -56,7 +56,6 @@ DIGESTS = {
     (0, "normals-262147-moved"): ("e28bcecf5dbee4462a8d276cb7a29d6bca98f5324bcbe486cc5aa01c6dcd21e5", 524297),
     (0, "normals-1000003"): ("efa222e3b36ec6de47a990ee2f5be164e4e12b11af41c5ae1dfef962f541f798", 2000006),
     (0, "normals-1000003-moved"): ("39679ae20d0c07a691c805bfbb3cf733d20612c4af13176a398578017e3f62fe", 2000009),
-    (0, "inverse_gammas-0.3"): ("d3aa3eaeba3e64e786e6d189d2df7836eb6dc4bd01c77b45103119626a5d9028", 820004),
     (0, "inverse_gammas-1.0"): ("1b153884768429623042cf7832c28b71c94b495f7ee9fb23f365502d7bc11afd", 630105),
     (0, "inverse_gammas-19.5"): ("d6b12bd8bde44cb22c722958e52c688582d7c7ef4b7b11af8a64e952a749eca4", 600855),
     (42, "normals-1"): ("bafe76fe7392715f61bb820c33253609d0d7dc597d5cb8ba811ff89e6b79c789", 2),
@@ -69,7 +68,6 @@ DIGESTS = {
     (42, "normals-262147-moved"): ("f2cce82e1f1485e04086edb15dcf5b5fbadd05942c9dbdf716db5ad6632220f8", 524297),
     (42, "normals-1000003"): ("3a312cc7cf19c4a82a670ced70ba12196448c91cb1f2c0d7998efd476d281402", 2000006),
     (42, "normals-1000003-moved"): ("b52ebb106742a1aee59625e3b23a811fb9f0ef1ca6a11d6435436560ea99d676", 2000009),
-    (42, "inverse_gammas-0.3"): ("1db1e1a2e0357439d59bf5193a482094ca9cd0153f2d0194fd9649839c6c8a53", 820784),
     (42, "inverse_gammas-1.0"): ("ac31e01b553fd8443710d099dfc7a2ef1ac13b3a20737d8e3f4a1223583761c2", 630987),
     (42, "inverse_gammas-19.5"): ("2a9e9b54545b137ea9e4c0fe306c7a1b013794f13059e44b4d4d42a4a60a411e", 600987),
     (18446744073709551615, "normals-1"): ("21ed560a3b07ba1b022f781e856e1668be0320abaf9cfd1857b1597ccc74e48e", 2),
@@ -82,7 +80,6 @@ DIGESTS = {
     (18446744073709551615, "normals-262147-moved"): ("6b1d517a61ca7fa3372bbb2db14e28aa04553f1cd628115710a66d498ac2d243", 524297),
     (18446744073709551615, "normals-1000003"): ("e1797f716b3d752f369d43e64ac124414ba46cd6517ed0ed45c0fa1badc700ca", 2000006),
     (18446744073709551615, "normals-1000003-moved"): ("250b5071a8ad99d411896b20959c93c6be7144135b240652f6a4973882cba926", 2000009),
-    (18446744073709551615, "inverse_gammas-0.3"): ("a65222f37b12a05e227efdb29a9b41333ea1c843169dde7225993d571e629556", 820118),
     (18446744073709551615, "inverse_gammas-1.0"): ("569640c92634c99a635c129081bb43bf397bee83d2e596917c8938697f62cbfd", 630057),
     (18446744073709551615, "inverse_gammas-19.5"): ("6599bb6c36c8f00b4df1b200959f769ba041371500df0d4e952aadd9af8ba654", 600855),
 }
