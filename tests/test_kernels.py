@@ -564,11 +564,18 @@ class TestRandomSource:
         y = b.inverse_gammas(1000, 2.5, 7.0)
         assert np.allclose(y, 7.0 * x, rtol=1e-14)
 
+    def test_inverse_gamma_shape_below_one(self):
+        # shape < 1 is refused rather than boosted; shape 1 is the edge that draws
+        rs = kernels.RandomSource(66)
+        for shape in (0.3, 0.7, math.nextafter(1.0, 0.0)):
+            with pytest.raises(ValueError):
+                rs.inverse_gammas(5, shape, 1.0)
+        x = rs.inverse_gammas(5, 1.0, 1.0)
+        assert (x > 0.0).all() and np.isfinite(x).all()
+
     def test_domain(self):
         rs = kernels.RandomSource(1)
         with pytest.raises(ValueError):
             rs.inverse_gammas(5, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            rs.inverse_gammas(5, 0.7, 1.0)
         with pytest.raises(ValueError):
             rs.inverse_gammas(5, 1.0, -2.0)
