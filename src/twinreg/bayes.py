@@ -218,7 +218,7 @@ def rope_bounds(loss: Sequence[float]) -> tuple[float, float]:
 
 
 class _SortedColumn(np.ndarray):
-    """A column buffer that ``summarize_posterior`` has just sorted."""
+    """A column that ``summarize_posterior`` has just sorted in place."""
 
 
 def _ascending(draws: Sequence[float]) -> np.ndarray:
@@ -297,50 +297,43 @@ def summarize_posterior(
 ) -> list[PosteriorSummary]:
     """Per-parameter median, credible interval, ROPE bounds, and PIROPE.
 
-    Each column is sorted once; every number is then read from that copy,
-    a ``_SortedColumn`` the interval and PIROPE use without checking its order.
-    Columns are sorted a round at a time, one column per worker thread
-    (``kernels.worker_count``: columns too short to give each thread its
-    slices are all sorted on the calling thread).  Each worker copies its
-    column into the one buffer it keeps for the whole call and sorts it
-    there.  The interval, median and PIROPE of a round's columns are read on
-    the calling thread, before the next round reuses the buffers.
+    Sorts each column of ``post.beta`` in place, so its rows are no longer
+    joint draws afterwards (copy ``post.beta`` first to keep them), and each
+    summary's ``draws`` is its sorted column.  The sorts are one job per
+    worker thread, each a contiguous run of columns (``kernels.worker_count``:
+    columns too short to give each thread its slices are all sorted on the
+    calling thread), and allocate nothing column-sized.  Every number is then
+    read on the calling thread from a ``_SortedColumn`` view of its column,
+    which the interval and PIROPE use without checking its order.
     """
     rope = rope_bounds(loss)
     interval = hdi_interval if use_hdi else credible_interval
     draws, p = post.beta.shape
-    bufs = [np.empty(draws).view(_SortedColumn) for _ in range(worker_count(p, draws))]
+    workers = worker_count(p, draws)
+    cuts = [w * p // workers for w in range(workers + 1)]
+    run_parallel([partial(post.beta[:, a:b].sort, axis=0) for a, b in zip(cuts, cuts[1:])])
     out = []
-    for j0 in range(0, p, len(bufs)):
-        cols = range(j0, min(j0 + len(bufs), p))
-        run_parallel([partial(_sort_into, buf, post.beta[:, j]) for buf, j in zip(bufs, cols)])
-        for ranked, j in zip(bufs, cols):
-            name = post.names[j]
-            # the output rule, first on the extremes, which show any draw that
-            # is not finite (nan sorts last), so the interval sees none
-            scaled_back([ranked[0], ranked[-1]], 0, f"draws of {name!r}")
-            lo, hi = interval(ranked, level)
-            values = [median_of_sorted(ranked), lo, hi, 0.5 * (lo + hi)]
-            what = [f"{v} of {name!r}" for v in ("median", "ci_low", "ci_high", "ci_midpoint")]
-            median, lo, hi, mid = map(float, scaled_back(values, 0, what))
-            out.append(
-                PosteriorSummary(
-                    name=name,
-                    draws=post.beta[:, j],
-                    median=median,
-                    ci_low=lo,
-                    ci_high=hi,
-                    ci_midpoint=mid,
-                    level=level,
-                    rope_low=rope[0],
-                    rope_high=rope[1],
-                    pirope=pirope(ranked, (lo, hi), rope),
-                )
+    for j, name in enumerate(post.names):
+        ranked = post.beta[:, j].view(_SortedColumn)
+        # the output rule, first on the extremes, which show any draw that
+        # is not finite (nan sorts last), so the interval sees none
+        scaled_back([ranked[0], ranked[-1]], 0, f"draws of {name!r}")
+        lo, hi = interval(ranked, level)
+        values = [median_of_sorted(ranked), lo, hi, 0.5 * (lo + hi)]
+        what = [f"{v} of {name!r}" for v in ("median", "ci_low", "ci_high", "ci_midpoint")]
+        median, lo, hi, mid = map(float, scaled_back(values, 0, what))
+        out.append(
+            PosteriorSummary(
+                name=name,
+                draws=post.beta[:, j],
+                median=median,
+                ci_low=lo,
+                ci_high=hi,
+                ci_midpoint=mid,
+                level=level,
+                rope_low=rope[0],
+                rope_high=rope[1],
+                pirope=pirope(ranked, (lo, hi), rope),
             )
+        )
     return out
-
-
-def _sort_into(buf: np.ndarray, col: np.ndarray) -> None:
-    """Sort a copy of col in buf, the column buffer a worker reuses."""
-    np.copyto(buf, col)
-    buf.sort()

@@ -49,13 +49,18 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    try:
+        ln_front = (
+            math.lgamma(a + b)
+            - math.lgamma(a)
+            - math.lgamma(b)
+            + a * math.log(x)
+            + b * math.log1p(-x)
+        )
+    except OverflowError:  # lgamma's, past ~2.56e305
+        raise ValueError(
+            f"reg_inc_beta requires a + b below ~2.56e305, got a={a}, b={b}"
+        ) from None
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
@@ -119,12 +124,16 @@ def chi2_sf(x: float, df: float) -> float:
         return 1.0
     if math.isinf(x):
         return 0.0
+    try:
+        ln_gamma_a = math.lgamma(a)
+    except OverflowError:  # lgamma's, past ~2.56e305
+        raise ValueError(f"chi2_sf requires df below ~5.12e305, got df={df}") from None
     if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_cf(a, x)
+        return 1.0 - _gamma_p_series(a, x, ln_gamma_a)
+    return _gamma_q_cf(a, x, ln_gamma_a)
 
 
-def _gamma_p_series(a: float, x: float) -> float:
+def _gamma_p_series(a: float, x: float, ln_gamma_a: float) -> float:
     ap = a
     total = 1.0 / a
     term = total
@@ -133,11 +142,11 @@ def _gamma_p_series(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _CF_EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total * math.exp(-x + a * math.log(x) - ln_gamma_a)
     raise ConvergenceError(f"incomplete gamma series did not converge for a={a}, x={x}")
 
 
-def _gamma_q_cf(a: float, x: float) -> float:
+def _gamma_q_cf(a: float, x: float, ln_gamma_a: float) -> float:
     b = x + 1.0 - a
     c = 1.0 / _CF_TINY
     d = 1.0 / b
@@ -150,7 +159,7 @@ def _gamma_q_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h * math.exp(-x + a * math.log(x) - ln_gamma_a)
     raise ConvergenceError(f"incomplete gamma fraction did not converge for a={a}, x={x}")
 
 
@@ -285,6 +294,17 @@ def _ramp(n: int, step: int) -> np.ndarray:
     return ramp
 
 
+def _as_uniforms(raw: np.ndarray) -> np.ndarray:
+    """The top 53 bits of raw outputs as doubles in [0, 1), in raw's own memory."""
+    raw >>= np.uint64(11)
+    # in place: exact below 2**53, and each word is read before its double
+    # is written over it (np.multiply would copy the overlap)
+    u = raw.view(np.float64)
+    np.copyto(u, raw, casting="unsafe")
+    u *= _INV_2POW53
+    return u
+
+
 def _cos_2pi_into(o: np.ndarray, s: np.ndarray, h: np.ndarray) -> None:
     """o = cos(2 pi u) for u = k * 2**-53, where o holds the integers k < 2**53.
 
@@ -365,24 +385,51 @@ def _normal_rows_into(out, first, last, step, seed, count, ramp, transform) -> N
         r0 = r1
 
 
-def _marsaglia_tsang_into(dst: np.ndarray, x: np.ndarray, u: np.ndarray, c: float, d: float):
-    """One batched Marsaglia-Tsang round: the accept mask, and d * v in dst.
+def _marsaglia_tsang_into(dv, accept, x, u, t, c: float, d: float) -> None:
+    """One batched Marsaglia-Tsang round: d * v in dv, the exact log test in accept.
 
-    The round's arithmetic runs one _SLICE of candidates at a time, so its
-    temporaries stay slice-sized and in cache; every operation is elementwise,
-    so the mask and dst are the bits the whole-array expressions give.
+    With w = 1 + c x and v = w * w * w, a candidate passes when
+    log(u) < 0.5 * x**2 + d - d * v + d * log(v).  Each step is one in-place
+    ufunc, in the order of that expression, so the bits are the expression's
+    and the round allocates nothing: x and u are overwritten, and t is
+    scratch of their length.
     """
-    accept = np.empty(len(x), dtype=bool)
-    for a in range(0, len(x), _SLICE):
-        xs, us = x[a : a + _SLICE], u[a : a + _SLICE]
-        w = 1.0 + c * xs
-        v = w * w * w
-        # where v <= 0, log(v) is nan or -inf, so the test refuses
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rhs = 0.5 * xs**2 + d - d * v + d * np.log(v)
-            np.less(np.log(us), rhs, out=accept[a : a + _SLICE])
-        np.multiply(d, v, out=dst[a : a + _SLICE])
-    return accept
+    np.multiply(c, x, out=dv)
+    dv += 1.0
+    np.multiply(dv, dv, out=t)
+    t *= dv  # v
+    np.square(x, out=x)
+    x *= 0.5
+    x += d
+    np.multiply(d, t, out=dv)
+    x -= dv
+    # where v <= 0, log(v) is nan or -inf, so the test refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(t, out=t)
+        t *= d
+        x += t
+        np.log(u, out=u)
+        np.less(u, x, out=accept)
+
+
+def _first_round_into(dv, accept, first, last, seed, count, ramps, c, d) -> None:
+    """Candidates first .. last-1 of a first round of n = len(dv), a slice at a time.
+
+    Candidate i's normal comes from outputs count+2i+1 and count+2i+2 and
+    its uniform from count+2n+1+i, the outputs ``normals(n)`` and then
+    ``uniforms(n)`` would give it; both are made and tested while the slice
+    is in cache, leaving d * v in dv and the test's result in accept.
+    ramps holds the step-2 and step-1 offsets of a slice and is only read.
+    """
+    n = len(dv)
+    k = min(_SLICE, last - first)
+    x, raw, t = np.empty(k), np.empty(k, dtype=np.uint64), np.empty(k)
+    for a in range(first, last, _SLICE):
+        m = min(_SLICE, last - a)
+        _box_muller_into(x[:m], seed, count + 2 * a, ramps[0][:m], raw[:m], t[:m])
+        _splitmix(raw[:m], t[:m].view(np.uint64), ramps[1][:m], seed, count + 2 * n + 1 + a)
+        u = _as_uniforms(raw[:m])
+        _marsaglia_tsang_into(dv[a : a + m], accept[a : a + m], x[:m], u, t[:m], c, d)
 
 
 class RandomSource:
@@ -402,7 +449,12 @@ class RandomSource:
     numpy's, whose last bit may depend on the SIMD level numpy dispatches.
     ``inverse_gammas`` (shape >= 1) takes one normal and one uniform per
     candidate in each batched Marsaglia-Tsang rejection round, whose
-    (1 + c x)**3 is a product of three factors, not a power.
+    (1 + c x)**3 is a product of three factors, not a power: a round of m
+    candidates takes the outputs of ``normals(m)`` and then ``uniforms(m)``.
+    Its first round, one candidate per output, is made slice by slice on the
+    workers as ``normal_rows`` is, each slice's normals and uniforms tested
+    while in cache, so neither is ever held whole; the later rounds redraw
+    only the refused candidates, on the calling thread.
 
     ``normal_rows(out)`` fills a (rows, p) array with the same normals that
     ``normals(rows * p)`` would return, row after row: normal (r, j) uses
@@ -445,13 +497,7 @@ class RandomSource:
         """n doubles in [0, 1) from the top 53 bits of the stream."""
         raw = self._raw_block(n)
         self._count += n
-        raw >>= np.uint64(11)
-        # in place: exact below 2**53, and each word is read before its
-        # double is written over it (np.multiply would copy the overlap)
-        u = raw.view(np.float64)
-        np.copyto(u, raw, casting="unsafe")
-        u *= _INV_2POW53
-        return u
+        return _as_uniforms(raw)
 
     def normal_rows(self, out: np.ndarray, transform=None) -> None:
         """Fill the rows of out, a (rows, p) array, with standard normals.
@@ -495,15 +541,23 @@ class RandomSource:
             )
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        out = np.empty(n)
-        # the first round draws one candidate per output, in order, straight
-        # into out; later rounds redraw only the refused ones
-        accept = _marsaglia_tsang_into(out, self.normals(n), self.uniforms(n), c, d)
+        out, accept = np.empty(n), np.empty(n, dtype=bool)
+        slices = -(-n // _SLICE)
+        workers = worker_count(slices, _SLICE)
+        cuts = [min(w * slices // workers * _SLICE, n) for w in range(workers)] + [n]
+        ramps = (_ramp(min(n, _SLICE), 2), _ramp(min(n, _SLICE), 1))
+        run_parallel(
+            [
+                partial(_first_round_into, out, accept, a, b, self.seed, self._count, ramps, c, d)
+                for a, b in zip(cuts, cuts[1:])
+            ]
+        )
+        self._count += 3 * n
         pending = np.flatnonzero(~accept)
         while pending.size:
             m = pending.size
-            dv = np.empty(m)
-            accept = _marsaglia_tsang_into(dv, self.normals(m), self.uniforms(m), c, d)
+            dv, t, accept = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
+            _marsaglia_tsang_into(dv, accept, self.normals(m), self.uniforms(m), t, c, d)
             out[pending[accept]] = dv[accept]
             pending = pending[~accept]
-        return scale / out
+        return np.divide(scale, out, out=out)

@@ -385,7 +385,8 @@ class TestThreadUse:
 
 
 class TestThreadedSummary:
-    """Column sorts spread over worker threads give the serial summaries."""
+    """Columns sorted in place, a run of them per worker thread, give the
+    summaries of copies sorted with np.sort."""
 
     S = kernels._SLICE
 
@@ -396,6 +397,22 @@ class TestThreadedSummary:
         beta[:, 1] = np.round(beta[:, 1])  # long runs of ties
         names = tuple(f"b{j}" for j in range(p))
         return bayes.PosteriorDraws(beta=beta, sigma2=np.ones(n), names=names), rng.normal(size=37)
+
+    @staticmethod
+    def check_against_copies(got, post, before, loss, use_hdi):
+        # every field, bit for bit, from a copy of each column sorted by np.sort
+        interval = hdi_interval if use_hdi else credible_interval
+        rope = rope_bounds(loss)
+        for j, s in enumerate(got):
+            ranked = np.sort(before[:, j])
+            lo, hi = interval(ranked, 0.89)
+            assert s.name == post.names[j]
+            assert np.shares_memory(s.draws, post.beta)
+            assert np.array_equal(s.draws, post.beta[:, j])
+            assert s.median == kernels.median_of_sorted(ranked)
+            assert (s.ci_low, s.ci_high, s.ci_midpoint) == (lo, hi, 0.5 * (lo + hi))
+            assert (s.rope_low, s.rope_high) == rope
+            assert s.pirope == pirope(ranked, (lo, hi), rope)
 
     @pytest.mark.parametrize("use_hdi", [False, True])
     @pytest.mark.parametrize("n", [S, S + 1, 2 * S, 2 * S + 1])
@@ -413,25 +430,35 @@ class TestThreadedSummary:
 
         monkeypatch.setattr(threading.Thread, "start", counted_start)
         post, loss = self.draws(n)
+        before = post.beta.copy()
         got = summarize_posterior(post, loss, level=0.89, use_hdi=use_hdi)
         used = min(workers, -(-n // self.S))
-        assert len(started) == 8 - -(-8 // used)  # every round but its first column
-        interval = hdi_interval if use_hdi else credible_interval
-        rope = rope_bounds(loss)
-        for j, s in enumerate(got):
-            ranked = np.sort(post.beta[:, j])
-            lo, hi = interval(ranked, 0.89)
-            assert s.name == post.names[j]
-            assert np.shares_memory(s.draws, post.beta)
-            assert np.array_equal(s.draws, post.beta[:, j])
-            assert s.median == kernels.median_of_sorted(ranked)
-            assert (s.ci_low, s.ci_high, s.ci_midpoint) == (lo, hi, 0.5 * (lo + hi))
-            assert (s.rope_low, s.rope_high) == rope
-            assert s.pirope == pirope(ranked, (lo, hi), rope)
+        assert len(started) == used - 1  # one job per worker, the first on the caller
+        self.check_against_copies(got, post, before, loss, use_hdi)
+
+    @pytest.mark.parametrize("use_hdi", [False, True])
+    @pytest.mark.parametrize("n", [1000, 2 * S + 1, 200_003])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_columns_are_sorted_in_place(self, workers, n, use_hdi, monkeypatch):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        post, loss = self.draws(n)
+        before = post.beta.copy()
+        got = summarize_posterior(post, loss, level=0.89, use_hdi=use_hdi)
+        self.check_against_copies(got, post, before, loss, use_hdi)
+        for j in range(post.beta.shape[1]):
+            col = post.beta[:, j]
+            assert (col[1:] >= col[:-1]).all()
+            # a permutation of the column before, in values: numpy's vectorized
+            # sort may trade the bits of -0.0 and 0.0, so the bits are those
+            # np.sort gives a copy
+            ranked = np.sort(before[:, j])
+            assert np.array_equal(col, ranked)
+            assert np.array_equal(col.view(np.uint64), ranked.view(np.uint64))
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_each_worker_holds_one_column(self, workers, monkeypatch):
-        # a column buffer per worker, plus the ascending check's n-byte mask
+    def test_summaries_allocate_no_column_sized_buffer(self, workers, monkeypatch):
+        # the sorts run in place; the HDI's window widths are the one
+        # draw-sized temporary, (1 - level) of a column
         monkeypatch.setattr(kernels, "_WORKERS", workers)
         post, loss = self.draws(200_000)
         column = post.beta[:, 0].nbytes
@@ -442,7 +469,7 @@ class TestThreadedSummary:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= (workers + 0.25) * column
+            assert peak <= 0.25 * column
 
 
 def mask_pirope(x, ci, rope):

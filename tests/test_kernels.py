@@ -101,6 +101,14 @@ class TestRegIncBeta:
         with pytest.raises(ValueError):
             kernels.reg_inc_beta(1.0, 1.0, 1.5)
 
+    def test_log_gamma_overflow_is_a_value_error(self):
+        # lgamma overflows past ~2.56e305: a refusal naming the arguments,
+        # not a bare OverflowError
+        with pytest.raises(ValueError, match=r"a=1e\+306, b=2.0"):
+            kernels.reg_inc_beta(1e306, 2.0, 0.5)
+        with pytest.raises(ValueError, match=r"a=5e\+305, b=5e\+305"):
+            kernels.f_sf(2.0, 1e306, 1e306)
+
 
 class TestStudentTSf2:
     def test_center_and_limits(self):
@@ -216,6 +224,13 @@ class TestChi2Sf:
             kernels.chi2_sf(-1.0, 4.0)
         with pytest.raises(ValueError):
             kernels.chi2_sf(1.0, 0.0)
+
+    def test_log_gamma_overflow_is_a_value_error(self):
+        # lgamma(df / 2) overflows past df ~5.12e305, on either branch
+        for x in (3.0, 1e307):
+            with pytest.raises(ValueError, match=r"df=1e\+306"):
+                kernels.chi2_sf(x, 1e306)
+        assert kernels.chi2_sf(3.0, 1e305) == 1.0
 
 
 class TestTailAccuracy:
@@ -355,7 +370,8 @@ cos = rs.uniforms(n) * 2.0**53
 kernels._cos_2pi_into(cos, np.empty(n), np.empty(n))
 d = 19.5 - 1.0 / 3.0
 x, u, dv = 8.0 * rs.uniforms(n) - 4.0, rs.uniforms(n), np.empty(n)
-kernels._marsaglia_tsang_into(dv, x, u, 1.0 / math.sqrt(9.0 * d), d)
+c = 1.0 / math.sqrt(9.0 * d)
+kernels._marsaglia_tsang_into(dv, np.empty(n, bool), x, u, np.empty(n), c, d)
 try:
     from numpy._core import _multiarray_umath as umath
 except ImportError:  # numpy 1
@@ -398,12 +414,36 @@ class TestMarsagliaTsangRound:
         rs = kernels.RandomSource(int(alpha * 10))
         x, u = rs.normals(n), rs.uniforms(n)
         want_accept, want_dv = marsaglia_tsang_round_with_squeeze(x, u, c, d)
-        dv = np.empty(n)
-        accept = kernels._marsaglia_tsang_into(dv, x, u, c, d)
+        reaches_zero = (1.0 + c * x <= 0.0).any()
+        dv, accept = np.empty(n), np.empty(n, dtype=bool)
+        kernels._marsaglia_tsang_into(dv, accept, x, u, np.empty(n), c, d)  # x, u overwritten
         assert np.array_equal(accept, want_accept)
         assert np.array_equal(dv.view(np.uint64), want_dv.view(np.uint64))
         if alpha == 1.0:
-            assert (1.0 + c * x <= 0.0).any()
+            assert reaches_zero
+
+    @pytest.mark.parametrize("shape", [1.0, 19.5])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_inverse_gammas_are_whole_array_rounds(self, shape, workers, monkeypatch):
+        # 1000-candidate slices: 51 of them, a run per worker in the first
+        # round; each round takes normals(m) and then uniforms(m)
+        monkeypatch.setattr(kernels, "_SLICE", 1000)
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        n = 50_003
+        a, b = kernels.RandomSource(9), kernels.RandomSource(9)
+        a.uniforms(3)
+        b.uniforms(3)
+        got = a.inverse_gammas(n, shape, 2.0)
+        d = shape - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        want, pending = np.empty(n), np.arange(n)
+        while pending.size:
+            m = pending.size
+            accept, dv = marsaglia_tsang_round_with_squeeze(b.normals(m), b.uniforms(m), c, d)
+            want[pending[accept]] = dv[accept]
+            pending = pending[~accept]
+        assert np.array_equal(got.view(np.uint64), (2.0 / want).view(np.uint64))
+        assert a._count == b._count
 
 
 class TestRandomSource:
@@ -505,7 +545,9 @@ class TestRandomSource:
 
     @pytest.mark.parametrize("shape", [19.5, 1.0])
     def test_inverse_gammas_allocate_few_draw_sized_buffers(self, shape):
-        # the output, one round's normals and uniforms, and slice-sized scratch
+        # the output, the first round's accept mask and its inverse, three
+        # slices of scratch per worker (at most 3 workers at 1e6 draws), and
+        # the later rounds' candidates: the first round's are never whole
         rs = kernels.RandomSource(8)
         tracemalloc.start()
         try:
@@ -513,7 +555,7 @@ class TestRandomSource:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * out.nbytes
+        assert peak <= 1.6 * out.nbytes
 
     def test_many_cpus_give_each_worker_a_share_of_slices(self, monkeypatch):
         # a worker takes at least _SERIAL_SLICES slices, so a call starts no

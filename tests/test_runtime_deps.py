@@ -5,8 +5,10 @@ test files cannot leak in, and installs an import hook that raises on any
 ``scipy`` import before ``twinreg`` is loaded.  The same run checks that
 no subcommand pulls in ``numpy.ma``, which ``np.median`` and ``np.quantile``
 import on first use (~18 ms of every cold run), or ``concurrent.futures``,
-whose import pulls in ``logging`` (~10 ms).  At the default 10k draws no
-subcommand starts a thread: only large draws and sorts are spread over CPUs.
+whose import pulls in ``logging`` (~10 ms), or ``numpy.random``, whose
+import pulls in ``secrets`` and ``_hashlib`` (~6 MB of peak RSS).
+At the default 10k draws no subcommand starts a thread: only large draws and
+sorts are spread over CPUs.
 """
 
 import os
@@ -60,6 +62,8 @@ masked = sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])
 assert not masked, masked
 pooled = sorted(m for m in sys.modules if m.startswith("concurrent"))
 assert not pooled, pooled
+seeded = sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"])
+assert not seeded, seeded
 assert not started, started
 print("ok")
 """

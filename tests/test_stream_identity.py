@@ -189,7 +189,8 @@ BAYES_JSON_DIGESTS = {
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("seed, hdi", list(BAYES_JSON_DIGESTS))
 def test_million_draw_bayes_json(seed, hdi, workers, monkeypatch, capfdbinary):
-    # 3 workers: three threads make the draws and sort 3, 3 and 2 columns a round
+    # 3 workers: three threads make the sigma2 draws' first round and the
+    # draws, and sort 2, 3 and 3 columns in place
     monkeypatch.setattr(kernels, "_WORKERS", workers)
     argv = ["bayes", "--input", str(FIXTURE), "--format", "json", "--draws", "1000000"]
     code = main([*argv, "--seed", str(seed), *(["--hdi"] if hdi else [])])
