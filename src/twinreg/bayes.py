@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .kernels import RandomSource, median_of_sorted, run_parallel, worker_count
+from .kernels import RandomSource, median_of_sorted, spread
 from .kernels import scale_exponent, scaled_back
 from .ols import DesignMatrix, OlsFit
 
@@ -299,19 +298,16 @@ def summarize_posterior(
 
     Sorts each column of ``post.beta`` in place, so its rows are no longer
     joint draws afterwards (copy ``post.beta`` first to keep them), and each
-    summary's ``draws`` is its sorted column.  The sorts are one job per
-    worker thread, each a contiguous run of columns (``kernels.worker_count``:
-    columns too short to give each thread its slices are all sorted on the
-    calling thread), and allocate nothing column-sized.  Every number is then
-    read on the calling thread from a ``_SortedColumn`` view of its column,
-    which the interval and PIROPE use without checking its order.
+    summary's ``draws`` is its sorted column.  ``kernels.spread`` gives each
+    worker thread a contiguous run of columns to sort, and the sorts
+    allocate nothing column-sized.  Every number is then read on the calling
+    thread from a ``_SortedColumn`` view of its column, which the interval
+    and PIROPE use without checking its order.
     """
     rope = rope_bounds(loss)
     interval = hdi_interval if use_hdi else credible_interval
     draws, p = post.beta.shape
-    workers = worker_count(p, draws)
-    cuts = [w * p // workers for w in range(workers + 1)]
-    run_parallel([partial(post.beta[:, a:b].sort, axis=0) for a, b in zip(cuts, cuts[1:])])
+    spread(lambda a, b: post.beta[:, a:b].sort(axis=0), p, draws)
     out = []
     for j, name in enumerate(post.names):
         ranked = post.beta[:, j].view(_SortedColumn)

@@ -230,15 +230,19 @@ else:  # no affinity call on this platform
 _SERIAL_SLICES = 8  # each worker takes at least this many slices of work
 
 
-def worker_count(pieces: int, size: int) -> int:
-    """Threads for pieces independent jobs of size outputs each.
+def spread(job, pieces: int, size: int) -> None:
+    """Call job(a, b) once per worker thread, on a contiguous run a .. b-1 of pieces.
 
-    At most ``_WORKERS`` and one per piece, and each thread takes at least
-    ``_SERIAL_SLICES`` slices of ``_SLICE`` outputs, so short calls stay on
-    the calling thread.
+    Each piece is size outputs.  There are at most ``_WORKERS`` workers (the
+    CPUs in the affinity mask; a cgroup CPU quota is not seen), at most one
+    per piece, and each takes at least ``_SERIAL_SLICES`` slices of
+    ``_SLICE`` outputs, so calls under twice that many slices run as one job
+    on the calling thread.
     """
     slices = pieces * -(-size // _SLICE)
-    return max(1, min(_WORKERS, pieces, slices // _SERIAL_SLICES))
+    workers = max(1, min(_WORKERS, pieces, slices // _SERIAL_SLICES))
+    cuts = [w * pieces // workers for w in range(workers + 1)]
+    run_parallel([partial(job, a, b) for a, b in zip(cuts, cuts[1:])])
 
 
 def run_parallel(jobs: list) -> None:
@@ -327,19 +331,18 @@ def _cos_2pi_into(o: np.ndarray, s: np.ndarray, h: np.ndarray) -> None:
     o *= h
 
 
-def _box_muller_into(
-    o: np.ndarray, seed: int, count: int, ramp: np.ndarray, z: np.ndarray, r: np.ndarray
-) -> None:
+def _box_muller_into(o: np.ndarray, seed: int, count: int, ramp: np.ndarray) -> None:
     """Normal i of o from outputs count+2i+1 (u1) and count+2i+2 (u2).
 
     The whole pipeline runs on one block while it is in cache: splitmix64,
     the top 53 bits as a double, then sqrt(-2 log(1 - u1)) * cos(2 pi u2),
     one ufunc per operation, with the cosine from ``_cos_2pi_into``; log is
     the one step whose bits come from numpy's math library.  ramp holds the
-    step-2 offsets and is only read.  z (raw outputs, and the Horner sum
-    between the two passes) and r (the mixing scratch, b**2 between the
-    passes, then u1) are as long as o.
+    step-2 offsets and is only read.  The scratch, z (raw outputs, and the
+    Horner sum between the two passes) and r (the mixing scratch, b**2
+    between the passes, then u1), is as long as o and freed on return.
     """
+    z, r = np.empty(len(o), dtype=np.uint64), np.empty(len(o))
     ri = r.view(np.uint64)
     _splitmix(z, ri, ramp, seed, count + 2)
     z >>= np.uint64(11)
@@ -364,11 +367,10 @@ def _normal_rows_into(out, first, last, step, seed, count, ramp, transform) -> N
     transform(z, out[rows], rows); without one it is made in out itself.
     A last block of one row joins the block before it, because numpy
     multiplies a one-row matrix with gemv, whose bits differ from gemm's.
-    ramp is as long as the largest block's normals.
+    ramp is as long as the largest block's normals.  Box-Muller's scratch
+    is freed before the transform runs, which may use that room.
     """
     p = out.shape[1]
-    raw = np.empty(len(ramp), dtype=np.uint64)
-    u1 = np.empty(len(ramp))
     block = np.empty(len(ramp)) if transform is not None else None
     r0 = first
     while r0 < last:
@@ -379,7 +381,7 @@ def _normal_rows_into(out, first, last, step, seed, count, ramp, transform) -> N
         dst = out[rows]
         k = dst.size
         o = dst.reshape(-1) if block is None else block[:k]
-        _box_muller_into(o, seed, count + 2 * r0 * p, ramp[:k], raw[:k], u1[:k])
+        _box_muller_into(o, seed, count + 2 * r0 * p, ramp[:k])
         if block is not None:
             transform(o.reshape(dst.shape), dst, rows)
         r0 = r1
@@ -412,26 +414,6 @@ def _marsaglia_tsang_into(dv, accept, x, u, t, c: float, d: float) -> None:
         np.less(u, x, out=accept)
 
 
-def _first_round_into(dv, accept, first, last, seed, count, ramps, c, d) -> None:
-    """Candidates first .. last-1 of a first round of n = len(dv), a slice at a time.
-
-    Candidate i's normal comes from outputs count+2i+1 and count+2i+2 and
-    its uniform from count+2n+1+i, the outputs ``normals(n)`` and then
-    ``uniforms(n)`` would give it; both are made and tested while the slice
-    is in cache, leaving d * v in dv and the test's result in accept.
-    ramps holds the step-2 and step-1 offsets of a slice and is only read.
-    """
-    n = len(dv)
-    k = min(_SLICE, last - first)
-    x, raw, t = np.empty(k), np.empty(k, dtype=np.uint64), np.empty(k)
-    for a in range(first, last, _SLICE):
-        m = min(_SLICE, last - a)
-        _box_muller_into(x[:m], seed, count + 2 * a, ramps[0][:m], raw[:m], t[:m])
-        _splitmix(raw[:m], t[:m].view(np.uint64), ramps[1][:m], seed, count + 2 * n + 1 + a)
-        u = _as_uniforms(raw[:m])
-        _marsaglia_tsang_into(dv[a : a + m], accept[a : a + m], x[:m], u, t[:m], c, d)
-
-
 class RandomSource:
     """splitmix64 stream with vectorized draw methods.
 
@@ -447,14 +429,6 @@ class RandomSource:
     cos(2 pi u2), where the cosine is an exact fold and a fixed polynomial
     (``_cos_2pi_into``) that gives the same bits on any CPU; the log is
     numpy's, whose last bit may depend on the SIMD level numpy dispatches.
-    ``inverse_gammas`` (shape >= 1) takes one normal and one uniform per
-    candidate in each batched Marsaglia-Tsang rejection round, whose
-    (1 + c x)**3 is a product of three factors, not a power: a round of m
-    candidates takes the outputs of ``normals(m)`` and then ``uniforms(m)``.
-    Its first round, one candidate per output, is made slice by slice on the
-    workers as ``normal_rows`` is, each slice's normals and uniforms tested
-    while in cache, so neither is ever held whole; the later rounds redraw
-    only the refused candidates, on the calling thread.
 
     ``normal_rows(out)`` fills a (rows, p) array with the same normals that
     ``normals(rows * p)`` would return, row after row: normal (r, j) uses
@@ -463,17 +437,24 @@ class RandomSource:
     ``_SLICE // p`` rows (a final block of one row joins the block before
     it), each while it is in cache; with a transform, a block is made in
     scratch and handed to the transform, which writes its rows of out, so a
-    caller never holds all the normals beside their transformed copy.  A call
-    is cut into one contiguous run of blocks per worker thread, with at most
-    ``_WORKERS`` workers (the CPUs in the affinity mask; a cgroup CPU quota is
-    not seen) and at least ``_SERIAL_SLICES`` blocks each, so calls under
-    twice that stay on the calling thread.  Each worker has two blocks of
-    scratch, three with a transform, so a threaded worker's scratch is at
-    most three eighths of its share of the output.  Each worker derives its
+    caller never holds all the normals beside their transformed copy.  The
+    blocks are spread over the workers by ``spread``.  Each worker has two
+    blocks of scratch, three with a transform (whose own scratch may take
+    the place of the first two), so a threaded worker's scratch is at most
+    three eighths of its share of the output.  Each worker derives its
     counters from the call's starting counter and its first row, so no two
     workers share a counter and the output is the same bits for any number
     of workers.  Only the calling thread reads or advances the instance's
     counter.
+
+    ``inverse_gammas`` (shape >= 1) runs batched Marsaglia-Tsang rejection
+    rounds, whose (1 + c x)**3 is a product of three factors, not a power.
+    A round of m candidates takes the outputs of ``normals(m)`` and then
+    ``uniforms(m)``: it is one ``normal_rows`` call over the m normals whose
+    transform makes each block's uniforms and runs the test while the block
+    is in cache, so every round is spread over the workers and neither
+    draw is ever held whole.  The first round has one candidate per output;
+    each later round redraws only the refused ones.
 
     Instances are single-owner: concurrent use requires independent instances
     with distinct seeds.
@@ -513,18 +494,14 @@ class RandomSource:
             raise ValueError("normal_rows needs a C-contiguous (rows, p) array")
         rows, p = out.shape
         step = max(1, _SLICE // p)
-        blocks = -(-rows // step)
-        workers = worker_count(blocks, step * p)
-        cuts = [min(w * blocks // workers * step, rows) for w in range(workers)] + [rows]
         ramp = _ramp(min(rows, step + 1) * p, 2)
-        run_parallel(
-            [
-                partial(
-                    _normal_rows_into, out, a, b, step, self.seed, self._count, ramp, transform
-                )
-                for a, b in zip(cuts, cuts[1:])
-            ]
-        )
+        count = self._count
+
+        def job(a, b):
+            first, last = min(a * step, rows), min(b * step, rows)
+            _normal_rows_into(out, first, last, step, self.seed, count, ramp, transform)
+
+        spread(job, -(-rows // step), step * p)
         self._count += 2 * rows * p
 
     def normals(self, n: int) -> np.ndarray:
@@ -532,6 +509,27 @@ class RandomSource:
         out = np.empty(n)
         self.normal_rows(out.reshape(n, 1))
         return out
+
+    def _round(self, m: int, c: float, d: float):
+        """One Marsaglia-Tsang round of m candidates: d * v and the test's result.
+
+        With k the counter before the call, candidate i's normal comes from
+        outputs k+2i+1 and k+2i+2 and its uniform from k+2m+1+i, and the
+        counter advances by 3m.
+        """
+        dv, accept = np.empty(m), np.empty(m, dtype=bool)
+        ramp = _ramp(min(m, _SLICE + 1), 1)  # a merged last block has _SLICE + 1 rows
+        first = self._count + 2 * m + 1
+
+        def test(z, dst, rows):
+            raw, t = np.empty(len(z), dtype=np.uint64), np.empty(len(z))
+            _splitmix(raw, t.view(np.uint64), ramp[: len(z)], self.seed, first + rows.start)
+            u = _as_uniforms(raw)
+            _marsaglia_tsang_into(dst.reshape(-1), accept[rows], z.reshape(-1), u, t, c, d)
+
+        self.normal_rows(dv.reshape(m, 1), test)
+        self._count += m
+        return dv, accept
 
     def inverse_gammas(self, n: int, shape: float, scale: float) -> np.ndarray:
         """n inverse-gamma variates with batched (vectorized) rejection."""
@@ -541,23 +539,10 @@ class RandomSource:
             )
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        out, accept = np.empty(n), np.empty(n, dtype=bool)
-        slices = -(-n // _SLICE)
-        workers = worker_count(slices, _SLICE)
-        cuts = [min(w * slices // workers * _SLICE, n) for w in range(workers)] + [n]
-        ramps = (_ramp(min(n, _SLICE), 2), _ramp(min(n, _SLICE), 1))
-        run_parallel(
-            [
-                partial(_first_round_into, out, accept, a, b, self.seed, self._count, ramps, c, d)
-                for a, b in zip(cuts, cuts[1:])
-            ]
-        )
-        self._count += 3 * n
+        out, accept = self._round(n, c, d)
         pending = np.flatnonzero(~accept)
         while pending.size:
-            m = pending.size
-            dv, t, accept = np.empty(m), np.empty(m), np.empty(m, dtype=bool)
-            _marsaglia_tsang_into(dv, accept, self.normals(m), self.uniforms(m), t, c, d)
+            dv, accept = self._round(pending.size, c, d)
             out[pending[accept]] = dv[accept]
             pending = pending[~accept]
         return np.divide(scale, out, out=out)

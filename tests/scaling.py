@@ -7,7 +7,9 @@ at all:
 * the loss: every number in loss units by 2**k (``sigma2_hat`` by 2**2k);
 * a regressor: its ``describe`` row by 2**k, and its estimate, standard
   error, posterior median and CI by 2**-k.  Its PIROPE, and the verdict built
-  on it, change, because the ROPE is fixed in loss units.
+  on it, change, because the ROPE is fixed in loss units;
+* the loss by 2**k and a regressor by 2**j: both rules at once, so that
+  regressor's coefficient scales by 2**(k - j).
 
 A run may instead refuse with one ``data error:`` line, and then only
 because a number it returns does not fit a normal double.
@@ -41,25 +43,32 @@ OUTPUT_REFUSAL = re.compile(
 )
 
 
-def expected(ref, name, k, power=0):
+def expected(ref, name, k, loss_k=0):
     """ref, a JSON report, as the input with the column `name` times 2**k gives it.
 
-    The keys that follow from a scaled regressor's PIROPE are kept as they
-    are; compare both reports through ``masked``.
+    With loss_k, `name` is a regressor and the loss is times 2**loss_k as
+    well: the numbers in loss units scale by 2**loss_k and the regressor's
+    coefficient by 2**(loss_k - k).  The keys that follow from a scaled
+    regressor's PIROPE are kept as they are; compare both reports through
+    ``masked``.
     """
+    return _scaled(ref, {"Loss": loss_k, name: k}, 0)
+
+
+def _scaled(ref, scales, e):
+    # e: the power of two of the numbers under ref, where no key says otherwise
     if isinstance(ref, dict):
         row = ref.get("name", ref.get("term"))
         if "sd" in ref:  # a descriptive row: in units of its own variable
-            return {key: expected(v, name, k, int(row == name)) for key, v in ref.items()}
-        if name == "Loss":
-            powers = LOSS_POWER
-        else:
-            powers = dict.fromkeys(COEF_KEYS, -1) if row == name else {}
-        return {key: expected(v, name, k, powers.get(key, power)) for key, v in ref.items()}
+            return {key: _scaled(v, scales, scales.get(row, 0)) for key, v in ref.items()}
+        exps = {key: power * scales["Loss"] for key, power in LOSS_POWER.items()}
+        if row != "Loss" and row in scales:
+            exps.update((key, exps[key] - scales[row]) for key in COEF_KEYS)
+        return {key: _scaled(v, scales, exps.get(key, e)) for key, v in ref.items()}
     if isinstance(ref, list):
-        return [expected(v, name, k, power) for v in ref]
+        return [_scaled(v, scales, e) for v in ref]
     if isinstance(ref, float):
-        return math.ldexp(ref, power * k)
+        return math.ldexp(ref, e)
     return ref
 
 
@@ -75,9 +84,10 @@ def masked(doc, name):
     return doc
 
 
-def same_report(got, ref, name, k):
-    """Whether the JSON report got is ref's with the column `name` times 2**k."""
-    return masked(got, name) == masked(expected(ref, name, k), name)
+def same_report(got, ref, name, k, loss_k=0):
+    """Whether the JSON report got is ref's with the column `name` times 2**k
+    (and the loss times 2**loss_k, as ``expected`` says)."""
+    return masked(got, name) == masked(expected(ref, name, k, loss_k), name)
 
 
 def scaled_text(text, column, k):

@@ -352,6 +352,7 @@ class TestThreadUse:
         # bench/tracer.py wraps these names with one span stack, which a call
         # from a worker thread would corrupt
         monkeypatch.setattr(kernels, "_WORKERS", 2)
+        monkeypatch.setattr(kernels, "_SLICE", 4096)
         seen = {}
 
         def record(owner, name):
@@ -365,7 +366,8 @@ class TestThreadUse:
 
         for name in ("credible_interval", "hdi_interval", "pirope"):
             record(bayes, name)
-        record(RandomSource, "_raw_block")
+        for name in ("normals", "uniforms", "_raw_block", "inverse_gammas"):
+            record(RandomSource, name)
         started = []
         start = threading.Thread.start
 
@@ -375,11 +377,12 @@ class TestThreadUse:
 
         monkeypatch.setattr(threading.Thread, "start", counted_start)
         d = make_design(seed=21, p=8)
-        # 150k draws: long enough that the normals take their threaded path
+        # 150k draws in 4096-output slices: long enough that the normals and
+        # the first inverse-gamma round take their threaded path
         post = sample_posterior(d, fit_ols(d), default_prior(d), 150_000, RandomSource(12))
         for use_hdi in (False, True):
             summarize_posterior(post, d.y, use_hdi=use_hdi)
-        assert set(seen) == {"credible_interval", "hdi_interval", "pirope", "_raw_block"}
+        assert {"credible_interval", "hdi_interval", "pirope", "inverse_gammas"} <= set(seen)
         assert all(ids == {threading.get_ident()} for ids in seen.values()), seen
         assert started  # the threaded path did run
 

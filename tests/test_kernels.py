@@ -422,28 +422,74 @@ class TestMarsagliaTsangRound:
         if alpha == 1.0:
             assert reaches_zero
 
+    def test_candidates_at_the_threshold_follow_the_expression_order(self):
+        # where the rhs summed in another order, (.. + d log v) - d v, differs
+        # from the expression's, (.. - d v) + d log v, pick u with log(u)
+        # between the two: only the expression's order gives the test's result
+        d = 19.5 - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        x = kernels.RandomSource(19).normals(1000)
+        w = 1.0 + c * x
+        v = w * w * w
+        base = 0.5 * np.square(x) + d
+        rhs, moved = base - d * v + d * np.log(v), base + d * np.log(v) - d * v
+        picked, us = [], []
+        for i, (lo, hi) in enumerate(zip(np.minimum(rhs, moved), np.maximum(rhs, moved))):
+            if not lo < hi < 0.0:
+                continue
+            u = np.exp(lo)
+            for _ in range(64):
+                if lo <= np.log(u) < hi:
+                    picked.append(i)
+                    us.append(u)
+                    break
+                u = np.nextafter(u, 1.0 if np.log(u) < lo else 0.0)
+        picked, us = picked[:100], np.array(us[:100])
+        assert len(picked) == 100
+        want = np.log(us) < rhs[picked]
+        assert np.all(want != (np.log(us) < moved[picked]))
+        dv, accept = np.empty(100), np.empty(100, dtype=bool)
+        kernels._marsaglia_tsang_into(dv, accept, x[picked], us.copy(), np.empty(100), c, d)
+        assert np.array_equal(accept, want)
+        assert 0 < want.sum() < len(want)
+
     @pytest.mark.parametrize("shape", [1.0, 19.5])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_inverse_gammas_are_whole_array_rounds(self, shape, workers, monkeypatch):
-        # 1000-candidate slices: 51 of them, a run per worker in the first
-        # round; each round takes normals(m) and then uniforms(m)
+        # 1000-candidate slices, a run of them per worker in every round.
+        # 50,001 ends in a one-row block merged into the one before it, so
+        # its uniforms need a ramp of _SLICE + 1.  At shape 1, 400,000
+        # candidates leave a second round of ~20,000, spread over 2 workers
         monkeypatch.setattr(kernels, "_SLICE", 1000)
         monkeypatch.setattr(kernels, "_WORKERS", workers)
-        n = 50_003
-        a, b = kernels.RandomSource(9), kernels.RandomSource(9)
-        a.uniforms(3)
-        b.uniforms(3)
-        got = a.inverse_gammas(n, shape, 2.0)
+        jobs = []
+        run_parallel = kernels.run_parallel
+
+        def counted(round_jobs):
+            jobs.append(len(round_jobs))
+            run_parallel(round_jobs)
+
+        monkeypatch.setattr(kernels, "run_parallel", counted)
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        want, pending = np.empty(n), np.arange(n)
-        while pending.size:
-            m = pending.size
-            accept, dv = marsaglia_tsang_round_with_squeeze(b.normals(m), b.uniforms(m), c, d)
-            want[pending[accept]] = dv[accept]
-            pending = pending[~accept]
-        assert np.array_equal(got.view(np.uint64), (2.0 / want).view(np.uint64))
-        assert a._count == b._count
+        for n in [50_003, 50_001] + [400_000] * (shape == 1.0):
+            a, b = kernels.RandomSource(9), kernels.RandomSource(9)
+            a.uniforms(3)
+            b.uniforms(3)
+            jobs.clear()
+            got = a.inverse_gammas(n, shape, 2.0)
+            rounds = jobs[:]
+            want, pending = np.empty(n), np.arange(n)
+            while pending.size:
+                m = pending.size
+                accept, dv = marsaglia_tsang_round_with_squeeze(b.normals(m), b.uniforms(m), c, d)
+                want[pending[accept]] = dv[accept]
+                pending = pending[~accept]
+            assert np.array_equal(got.view(np.uint64), (2.0 / want).view(np.uint64)), n
+            assert a._count == b._count, n
+            assert rounds[0] == workers, n
+        if shape == 1.0:
+            assert rounds[1] == min(workers, 2)
 
 
 class TestRandomSource:
@@ -544,10 +590,12 @@ class TestRandomSource:
         assert np.array_equal(fortran.reshape(-1), b.normals(out.size))
 
     @pytest.mark.parametrize("shape", [19.5, 1.0])
-    def test_inverse_gammas_allocate_few_draw_sized_buffers(self, shape):
+    def test_inverse_gammas_allocate_few_draw_sized_buffers(self, shape, monkeypatch):
         # the output, the first round's accept mask and its inverse, three
-        # slices of scratch per worker (at most 3 workers at 1e6 draws), and
-        # the later rounds' candidates: the first round's are never whole
+        # slices of scratch per worker (3 workers, the most 1e6 draws use),
+        # and the later rounds' candidates: no round's normals or uniforms
+        # are ever whole
+        monkeypatch.setattr(kernels, "_WORKERS", 3)
         rs = kernels.RandomSource(8)
         tracemalloc.start()
         try:

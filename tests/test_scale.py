@@ -48,21 +48,24 @@ def run_json(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def scaled_csv(path, k, column="loss"):
-    """The fixture with column times 2**k at path; None if that is not exact."""
-    text = scaled_text(FIXTURE.read_text(), column, k)
+def scaled_csv(path, k, column="loss", loss_k=0):
+    """The fixture with column times 2**k (and the loss times 2**loss_k) at
+    path; None if that is not exact."""
+    text = scaled_text(FIXTURE.read_text(), "loss", loss_k)
+    text = None if text is None else scaled_text(text, column, k)
     if text is None:
         return None
     path.write_text(text)
     return str(path)
 
 
-def check(run, ref, column, k):
-    """run reproduces the report ref with column times 2**k, or refuses a returned value."""
+def check(run, ref, column, k, loss_k=0):
+    """run reproduces the report ref with column times 2**k (and the loss
+    times 2**loss_k), or refuses a returned value."""
     code, out, err = run
     if code == 0:
         assert err == ""
-        assert same_report(json.loads(out), ref, REPORT_NAME[column], k)
+        assert same_report(json.loads(out), ref, REPORT_NAME[column], k, loss_k)
     else:
         assert (code, out) == (1, b"")
         assert len(err.splitlines()) == 1 and OUTPUT_REFUSAL.match(err), err
@@ -108,6 +111,25 @@ def test_scaled_column_reproduces_the_fixture_or_refuses_an_output(
         pytest.skip(f"{column} times 2**{k} is not exact in the input")
     for command in GRID_COMMANDS:
         check(run_json([*command, "--input", path]), grid_json[tuple(command)], column, k)
+
+
+# the loss times 2**k with one regressor times 2**j, so that regressor's
+# coefficient scales by 2**(k - j): equal powers leave it as it is, and the
+# rest move it by 2**600 to 2**1000 either way, some with the loss near an
+# edge of its range
+@pytest.mark.parametrize(
+    "k, j",
+    [(-512, -512), (-300, 300), (-100, -1000), (100, 900), (300, -300), (505, 505), (900, -100)],
+)
+@pytest.mark.parametrize("column", [c for c in REPORT_NAME if c != "loss"])
+def test_loss_and_a_regressor_scaled_together_reproduce_the_fixture_or_refuse(
+    tmp_path, grid_json, column, k, j
+):
+    path = scaled_csv(tmp_path / "scaled.csv", j, column, loss_k=k)
+    if path is None:
+        pytest.skip(f"loss times 2**{k} with {column} times 2**{j} is not exact in the input")
+    for command in GRID_COMMANDS:
+        check(run_json([*command, "--input", path]), grid_json[tuple(command)], column, j, k)
 
 
 # every number ols returns fits a double here, so it answers
