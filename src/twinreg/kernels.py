@@ -359,34 +359,6 @@ def _box_muller_into(o: np.ndarray, seed: int, count: int, ramp: np.ndarray) -> 
     o *= r
 
 
-def _normal_rows_into(out, first, last, step, seed, count, ramp, transform) -> None:
-    """Rows first .. last-1 of out, made step rows at a time.
-
-    Row k's normals come from outputs count+2kp+1 .. count+2(k+1)p.  With a
-    transform, each block is made in scratch and handed on as
-    transform(z, out[rows], rows); without one it is made in out itself.
-    A last block of one row joins the block before it, because numpy
-    multiplies a one-row matrix with gemv, whose bits differ from gemm's.
-    ramp is as long as the largest block's normals.  Box-Muller's scratch
-    is freed before the transform runs, which may use that room.
-    """
-    p = out.shape[1]
-    block = np.empty(len(ramp)) if transform is not None else None
-    r0 = first
-    while r0 < last:
-        r1 = min(r0 + step, last)
-        if last - r1 == 1:
-            r1 = last
-        rows = slice(r0, r1)
-        dst = out[rows]
-        k = dst.size
-        o = dst.reshape(-1) if block is None else block[:k]
-        _box_muller_into(o, seed, count + 2 * r0 * p, ramp[:k])
-        if block is not None:
-            transform(o.reshape(dst.shape), dst, rows)
-        r0 = r1
-
-
 def _marsaglia_tsang_into(dv, accept, x, u, t, c: float, d: float) -> None:
     """One batched Marsaglia-Tsang round: d * v in dv, the exact log test in accept.
 
@@ -415,33 +387,29 @@ def _marsaglia_tsang_into(dv, accept, x, u, t, c: float, d: float) -> None:
 
 
 class RandomSource:
-    """splitmix64 stream with vectorized draw methods.
+    """splitmix64 stream with vectorized draws, defined by counter.
 
-    The generator is counter-based: output k is mix64(seed + k * gamma) with
-    the splitmix64 finalizer, so equal seeds give bit-identical streams and
-    any output can be made without the ones before it.  Each method consumes
-    the next block of counters.  With c the counter before the call,
-    ``uniforms(n)`` takes outputs c+1 .. c+n.  ``normals(n)`` takes c+1 ..
-    c+2n and pairs them for Box-Muller as u1 from the odd offsets (c+1, c+3,
-    ..., c+2n-1) and u2 from the even ones (c+2, ..., c+2n); normal i uses
-    outputs c+2i+1 and c+2i+2, exactly the pair that ``uniforms(2n)`` would
-    return at positions 2i and 2i+1.  Normal i is sqrt(-2 log(1 - u1)) *
-    cos(2 pi u2), where the cosine is an exact fold and a fixed polynomial
-    (``_cos_2pi_into``) that gives the same bits on any CPU; the log is
-    numpy's, whose last bit may depend on the SIMD level numpy dispatches.
+    Output k is mix64(seed + k * gamma) with the splitmix64 finalizer, so
+    equal seeds give bit-identical streams and any output can be made
+    without the ones before it.  The uniform of output k is its top 53 bits
+    times 2**-53, in [0, 1).  Each draw takes the next block of counters;
+    c is the counter before it.
 
-    ``normal_rows(out)`` fills a (rows, p) array with the same normals that
-    ``normals(rows * p)`` would return, row after row: normal (r, j) uses
-    outputs c+2(r*p+j)+1 and c+2(r*p+j)+2 on any number of workers.
-    ``normals(n)`` is its p = 1 case.  The rows are made in blocks of
-    ``_SLICE // p`` rows (a final block of one row joins the block before
-    it), each while it is in cache; with a transform, a block is made in
-    scratch and handed to the transform, which writes its rows of out, so a
-    caller never holds all the normals beside their transformed copy.  The
-    blocks are spread over the workers by ``spread``.  Each worker has two
-    blocks of scratch, three with a transform (whose own scratch may take
-    the place of the first two), so a threaded worker's scratch is at most
-    three eighths of its share of the output.  Each worker derives its
+    ``normal_rows(out, transform)`` draws a (rows, p) array of standard
+    normals from outputs c+1 .. c+2*rows*p: normal (r, j) is
+    sqrt(-2 log(1 - u1)) * cos(2 pi u2) with u1 and u2 the uniforms of
+    outputs c+2(r*p+j)+1 and c+2(r*p+j)+2.  The cosine is an exact fold and
+    a fixed polynomial (``_cos_2pi_into``) that gives the same bits on any
+    CPU; the log is numpy's, whose last bit may depend on the SIMD level
+    numpy dispatches.  The rows are made in blocks of ``_SLICE // p`` rows
+    (a final block of one row joins the block before it), each in scratch
+    while it is in cache and handed to the transform, which writes its rows
+    of out, so a caller never holds all the normals beside their
+    transformed copy.  The blocks are spread over the workers by
+    ``spread``.  Each worker holds three blocks of scratch, the block and
+    Box-Muller's two, which are freed before the transform runs so that its
+    own scratch may take their room; a threaded worker's scratch is thus at
+    most three eighths of its share of the output.  Each worker derives its
     counters from the call's starting counter and its first row, so no two
     workers share a counter and the output is the same bits for any number
     of workers.  Only the calling thread reads or advances the instance's
@@ -449,8 +417,9 @@ class RandomSource:
 
     ``inverse_gammas`` (shape >= 1) runs batched Marsaglia-Tsang rejection
     rounds, whose (1 + c x)**3 is a product of three factors, not a power.
-    A round of m candidates takes the outputs of ``normals(m)`` and then
-    ``uniforms(m)``: it is one ``normal_rows`` call over the m normals whose
+    A round of m candidates takes outputs c+1 .. c+3m: candidate i's normal
+    is row i of an (m, 1) ``normal_rows`` call, from outputs c+2i+1 and
+    c+2i+2, and its uniform is that of output c+2m+1+i.  The call's
     transform makes each block's uniforms and runs the test while the block
     is in cache, so every round is spread over the workers and neither
     draw is ever held whole.  The first round has one candidate per output;
@@ -464,51 +433,34 @@ class RandomSource:
         self.seed = int(seed) & _U64_MASK
         self._count = 0
 
-    def _raw_block(self, n: int) -> np.ndarray:
-        """Outputs c+1 .. c+n; the caller advances c."""
-        out = np.empty(n, dtype=np.uint64)
-        ramp = _ramp(min(n, _SLICE), 1)
-        t = np.empty_like(ramp)
-        for s in range(0, n, _SLICE):
-            z = out[s : s + _SLICE]
-            _splitmix(z, t[: len(z)], ramp[: len(z)], self.seed, self._count + 1 + s)
-        return out
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1) from the top 53 bits of the stream."""
-        raw = self._raw_block(n)
-        self._count += n
-        return _as_uniforms(raw)
-
-    def normal_rows(self, out: np.ndarray, transform=None) -> None:
-        """Fill the rows of out, a (rows, p) array, with standard normals.
+    def normal_rows(self, out: np.ndarray, transform) -> None:
+        """Draw the rows of out, a (rows, p) array of any layout, through transform.
 
         Row k takes the next normals in order, k*p .. (k+1)*p - 1, and the
-        counter advances by 2 * rows * p.  With transform, each block of rows
-        is made in C-ordered scratch and transform(z, out[rows], rows) writes
-        it, so a caller can map normals to draws while the block is in cache,
-        and out may have any 2-D layout.  Without one the normals are made in
-        out itself, which must then be C-contiguous.
+        counter advances by 2 * rows * p.  Each block of rows is made in
+        C-ordered scratch and transform(z, out[rows], rows) writes it, so a
+        caller maps normals to draws while the block is in cache.
         """
-        if transform is None and not out.flags.c_contiguous:
-            raise ValueError("normal_rows needs a C-contiguous (rows, p) array")
         rows, p = out.shape
         step = max(1, _SLICE // p)
         ramp = _ramp(min(rows, step + 1) * p, 2)
         count = self._count
 
         def job(a, b):
-            first, last = min(a * step, rows), min(b * step, rows)
-            _normal_rows_into(out, first, last, step, self.seed, count, ramp, transform)
+            block = np.empty(len(ramp))
+            r0, last = min(a * step, rows), min(b * step, rows)
+            while r0 < last:
+                # a last block of one row joins the block before it, because
+                # numpy multiplies a one-row matrix with gemv, whose bits
+                # differ from gemm's
+                r1 = last if last - r0 <= step + 1 else r0 + step
+                z = block[: (r1 - r0) * p]
+                _box_muller_into(z, self.seed, count + 2 * r0 * p, ramp[: len(z)])
+                transform(z.reshape(-1, p), out[r0:r1], slice(r0, r1))
+                r0 = r1
 
         spread(job, -(-rows // step), step * p)
         self._count += 2 * rows * p
-
-    def normals(self, n: int) -> np.ndarray:
-        """n standard normals via Box-Muller, two uniforms each."""
-        out = np.empty(n)
-        self.normal_rows(out.reshape(n, 1))
-        return out
 
     def _round(self, m: int, c: float, d: float):
         """One Marsaglia-Tsang round of m candidates: d * v and the test's result.

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import streams
 import twinreg as T
 from oracles import ln_gamma
 
@@ -250,7 +251,7 @@ def test_criterion_7_property_suite(acceptance_log, frame, posterior):
         truth = rng.standard_normal()
         x = truth + rng.standard_normal()
         rs = T.RandomSource(rep)
-        draws = x / 2.0 + math.sqrt(0.5) * rs.normals(1000)
+        draws = x / 2.0 + math.sqrt(0.5) * streams.normals(rs, 1000)
         lo, hi = T.credible_interval(draws, 0.89)
         hits += int(lo <= truth <= hi)
     coverage = hits / reps

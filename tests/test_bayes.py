@@ -366,8 +366,7 @@ class TestThreadUse:
 
         for name in ("credible_interval", "hdi_interval", "pirope"):
             record(bayes, name)
-        for name in ("normals", "uniforms", "_raw_block", "inverse_gammas"):
-            record(RandomSource, name)
+        record(RandomSource, "inverse_gammas")
         started = []
         start = threading.Thread.start
 

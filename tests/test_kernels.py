@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import streams
 from oracles import chi2_sf_by_mpmath, f_sf_by_mpmath, ln_gamma, relative_error, t_sf2_by_mpmath
 from twinreg import data, describe, kernels, ols
 
@@ -287,15 +288,16 @@ class TestRunParallel:
         assert sorted(done) == [0, 1]
 
 
-# first four draws of each method from a fresh RandomSource(42), as float.hex
+# first four draws of each kind from a fresh RandomSource(42), as float.hex;
+# the uniforms and normals are read at the counters by tests/streams.py
 SEED42_VECTORS = {
     "uniforms": (
-        lambda rs: rs.uniforms(4),
+        lambda rs: streams.uniforms(rs, 4),
         ["0x1.7bae644c5fd6dp-1", "0x1.477f199d93378p-3",
          "0x1.1d499d5c4c3e6p-2", "0x1.607387fc392b8p-2"],
     ),
     "normals": (
-        lambda rs: rs.normals(4),
+        lambda rs: streams.normals(rs, 4),
         ["0x1.c3b620ee5015bp-1", "-0x1.cdab96fe79015p-2",
          "0x1.81bf069d25a46p-3", "0x1.c1b680ea2bc60p-3"],
     ),
@@ -350,8 +352,8 @@ class TestBoxMullerCosine:
         # |z - r cos(2 pi u2)| <= 1e-15 r with r = sqrt(-2 log(1 - u1)), all
         # from math per value: the polynomial's and math.cos's errors summed
         n = 1 << 20
-        z = kernels.RandomSource(11).normals(n)
-        u = kernels.RandomSource(11).uniforms(2 * n)
+        z = streams.normals(kernels.RandomSource(11), n)
+        u = streams.uniforms(kernels.RandomSource(11), 2 * n)
         r = [math.sqrt(-2.0 * math.log(1.0 - u1)) for u1 in u[0::2].tolist()]
         want = [ri * math.cos(2.0 * math.pi * u2) for ri, u2 in zip(r, u[1::2].tolist())]
         assert (np.abs(z - np.array(want)) <= 1e-15 * np.array(r)).all()
@@ -365,11 +367,16 @@ import hashlib, json, math
 import numpy as np
 from twinreg import kernels
 n = 1 << 20
-rs = kernels.RandomSource(2104)
-cos = rs.uniforms(n) * 2.0**53
+
+def uniforms(k):  # the uniforms of outputs k+1 .. k+n of seed 2104
+    z, t = np.empty(n, np.uint64), np.empty(n, np.uint64)
+    kernels._splitmix(z, t, kernels._ramp(n, 1), 2104, k + 1)
+    return kernels._as_uniforms(z)
+
+cos = uniforms(0) * 2.0**53
 kernels._cos_2pi_into(cos, np.empty(n), np.empty(n))
 d = 19.5 - 1.0 / 3.0
-x, u, dv = 8.0 * rs.uniforms(n) - 4.0, rs.uniforms(n), np.empty(n)
+x, u, dv = 8.0 * uniforms(n) - 4.0, uniforms(2 * n), np.empty(n)
 c = 1.0 / math.sqrt(9.0 * d)
 kernels._marsaglia_tsang_into(dv, np.empty(n, bool), x, u, np.empty(n), c, d)
 try:
@@ -412,7 +419,7 @@ class TestMarsagliaTsangRound:
         d = alpha - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         rs = kernels.RandomSource(int(alpha * 10))
-        x, u = rs.normals(n), rs.uniforms(n)
+        x, u = streams.normals(rs, n), streams.uniforms(rs, n)
         want_accept, want_dv = marsaglia_tsang_round_with_squeeze(x, u, c, d)
         reaches_zero = (1.0 + c * x <= 0.0).any()
         dv, accept = np.empty(n), np.empty(n, dtype=bool)
@@ -428,7 +435,7 @@ class TestMarsagliaTsangRound:
         # between the two: only the expression's order gives the test's result
         d = 19.5 - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        x = kernels.RandomSource(19).normals(1000)
+        x = streams.normals(kernels.RandomSource(19), 1000)
         w = 1.0 + c * x
         v = w * w * w
         base = 0.5 * np.square(x) + d
@@ -474,15 +481,16 @@ class TestMarsagliaTsangRound:
         c = 1.0 / math.sqrt(9.0 * d)
         for n in [50_003, 50_001] + [400_000] * (shape == 1.0):
             a, b = kernels.RandomSource(9), kernels.RandomSource(9)
-            a.uniforms(3)
-            b.uniforms(3)
+            streams.uniforms(a, 3)
+            streams.uniforms(b, 3)
             jobs.clear()
             got = a.inverse_gammas(n, shape, 2.0)
             rounds = jobs[:]
             want, pending = np.empty(n), np.arange(n)
             while pending.size:
                 m = pending.size
-                accept, dv = marsaglia_tsang_round_with_squeeze(b.normals(m), b.uniforms(m), c, d)
+                x, u = streams.normals(b, m), streams.uniforms(b, m)
+                accept, dv = marsaglia_tsang_round_with_squeeze(x, u, c, d)
                 want[pending[accept]] = dv[accept]
                 pending = pending[~accept]
             assert np.array_equal(got.view(np.uint64), (2.0 / want).view(np.uint64)), n
@@ -501,24 +509,24 @@ class TestRandomSource:
     def test_same_seed_same_stream(self):
         a = kernels.RandomSource(42)
         b = kernels.RandomSource(42)
-        assert np.array_equal(a.uniforms(10), b.uniforms(10))
+        assert np.array_equal(streams.uniforms(a, 10), streams.uniforms(b, 10))
 
     def test_different_seeds_differ(self):
         a = kernels.RandomSource(1)
         b = kernels.RandomSource(2)
-        assert not np.array_equal(a.uniforms(5), b.uniforms(5))
+        assert not np.array_equal(streams.uniforms(a, 5), streams.uniforms(b, 5))
 
     def test_uniform_range(self):
         rs = kernels.RandomSource(3)
-        u = rs.uniforms(100_000)
+        u = streams.uniforms(rs, 100_000)
         assert u.min() >= 0.0 and u.max() < 1.0
 
     def test_normal_consumes_two_uniforms(self):
         a = kernels.RandomSource(5)
-        a.normals(1)
+        streams.normals(a, 1)
         b = kernels.RandomSource(5)
-        b.uniforms(2)
-        assert np.array_equal(a.uniforms(3), b.uniforms(3))
+        streams.uniforms(b, 2)
+        assert np.array_equal(streams.uniforms(a, 3), streams.uniforms(b, 3))
 
     # 49157 ends inside a slice past the first boundary; 3 slices + 5 spans several
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 49157, 3 * kernels._SLICE + 5])
@@ -527,20 +535,20 @@ class TestRandomSource:
         a = kernels.RandomSource(77)
         b = kernels.RandomSource(77)
         if moved:
-            a.normals(3)
-            a.uniforms(1)
-            b.uniforms(7)
+            streams.normals(a, 3)
+            streams.uniforms(a, 1)
+            streams.uniforms(b, 7)
         before = a._count
-        z = a.normals(n)
+        z = streams.normals(a, n)
         assert a._count == before + 2 * n
-        u = b.uniforms(2 * n)
+        u = streams.uniforms(b, 2 * n)
         want = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * cos_2pi_by_fold_and_horner(u[1::2])
         assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
 
     def test_raw_block_matches_scalar_splitmix64(self):
-        # reference: the splitmix64 finalizer on Python integers, around the
-        # slice boundaries where the block restarts from its ramp; the step-2
-        # ramp is the one the fused normals run on the odd and even counters
+        # reference: the splitmix64 finalizer on Python integers, at counters
+        # on both sides of slice boundaries; the step-2 ramp is the one
+        # Box-Muller runs on the odd and even counters
         def mix64(seed, k):
             z = (seed + k * 0x9E3779B97F4A7C15) & kernels._U64_MASK
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & kernels._U64_MASK
@@ -551,7 +559,8 @@ class TestRandomSource:
         seed = 2**64 - 3
         rs = kernels.RandomSource(seed)
         rs._count = 5
-        raw = rs._raw_block(2 * s + 3)
+        raw = streams.raw_block(rs, 2 * s + 3)
+        assert rs._count == 5 + 2 * s + 3
         for i in (0, 1, s - 1, s, s + 1, 2 * s, 2 * s + 2):
             assert int(raw[i]) == mix64(seed, 6 + i), i
         raw = np.empty(s, dtype=np.uint64)
@@ -560,34 +569,37 @@ class TestRandomSource:
             for i in (0, 1, s - 2, s - 1):
                 assert int(raw[i]) == mix64(seed, k + 2 * i), (k, i)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_normals_allocate_little_beyond_their_output(self, workers, monkeypatch):
-        # two slices of scratch per worker and one shared ramp; no full-size temporaries
+        # three slices of scratch per worker (the block and Box-Muller's two)
+        # and one shared ramp, with a tenth of a slice for the objects that
+        # hold them; no full-size temporaries
         monkeypatch.setattr(kernels, "_WORKERS", workers)
         rs = kernels.RandomSource(8)
         tracemalloc.start()
         try:
-            z = rs.normals(2_000_000)
+            z = streams.normals(rs, 2_000_000)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * z.nbytes
+        assert peak <= z.nbytes + (3 * workers + 1.1) * kernels._SLICE * 8
 
     def test_normal_rows_are_the_normals_in_row_order(self, monkeypatch):
         # 1000-normal slices: 142-row blocks of 7, and a last block of one row
         monkeypatch.setattr(kernels, "_SLICE", 1000)
         monkeypatch.setattr(kernels, "_WORKERS", 2)
+        def copy(z, dst, rows):
+            np.copyto(dst, z)
+
         out = np.empty((142 * 16 + 1, 7))
         a, b = kernels.RandomSource(5), kernels.RandomSource(5)
-        a.normal_rows(out)
-        assert np.array_equal(out.reshape(-1), b.normals(out.size))
+        a.normal_rows(out, copy)
+        assert np.array_equal(out.reshape(-1), streams.normals(b, out.size))
         assert a._count == b._count == 2 * out.size
-        with pytest.raises(ValueError):
-            a.normal_rows(np.empty((7, 100)).T)
-        # with a transform the rows are written through it, in any layout
+        # the rows are written through the transform, in any layout
         fortran = np.empty(out.shape, order="F")
-        a.normal_rows(fortran, lambda z, dst, rows: np.copyto(dst, z))
-        assert np.array_equal(fortran.reshape(-1), b.normals(out.size))
+        a.normal_rows(fortran, copy)
+        assert np.array_equal(fortran.reshape(-1), streams.normals(b, out.size))
 
     @pytest.mark.parametrize("shape", [19.5, 1.0])
     def test_inverse_gammas_allocate_few_draw_sized_buffers(self, shape, monkeypatch):
@@ -622,18 +634,19 @@ class TestRandomSource:
         rs = kernels.RandomSource(8)
         tracemalloc.start()
         try:
-            z = rs.normals(n)
+            z = streams.normals(rs, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         slices = -(-n // kernels._SLICE)
         assert len(started) == slices // kernels._SERIAL_SLICES - 1
-        ramp = kernels._SLICE * 8
-        assert peak <= (1 + 2 / kernels._SERIAL_SLICES) * z.nbytes + 2 * ramp
+        # three slices of scratch per worker and the shared ramp
+        ramp = (kernels._SLICE + 1) * 8
+        assert peak <= (1 + 3 / kernels._SERIAL_SLICES) * z.nbytes + ramp
 
     def test_normal_moments(self):
         rs = kernels.RandomSource(2024)
-        z = rs.normals(1_000_000)
+        z = streams.normals(rs, 1_000_000)
         assert abs(z.mean()) < 0.005
         assert abs(z.var() - 1.0) < 0.01
         assert abs(np.mean(z**3)) < 0.02  # symmetric

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
+import streams
 import twinreg as T
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv"
@@ -49,7 +50,7 @@ def reference_draws(d, prior, draws, seed):
     )
     rs = T.RandomSource(seed)
     sigma2 = rs.inverse_gammas(draws, a_n, b_n)
-    z = rs.normals(draws * p).reshape(draws, p)
+    z = streams.normals(rs, draws * p).reshape(draws, p)
     w = solve_triangular(L, z.T, lower=True, trans="T")
     beta_c = mu_n[:, None] + np.sqrt(sigma2)[None, :] * w
     beta = beta_c.T.copy()

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import streams
 import twinreg as T
 from twinreg import kernels
 from twinreg.cli import main
@@ -27,8 +28,8 @@ SEEDS = (0, 42, 2**64 - 1)
 def _normals(n, moved):
     def draw(rs):
         if moved:
-            rs.uniforms(3)  # an odd counter: u1 sits on even outputs from here
-        return rs.normals(n)
+            streams.uniforms(rs, 3)  # an odd counter: u1 sits on even outputs from here
+        return streams.normals(rs, n)
 
     return draw
 
