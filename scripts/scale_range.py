@@ -19,23 +19,20 @@ For each column and command the script prints the k reproduced exactly, the
 refused k grouped by message, and every k that answered with different
 numbers.  With REV it prints the same for that revision, unpacked with
 ``git archive`` into a temporary directory.  It uses only the standard
-library, git and the numpy the trees import.
+library, git, ``revision.py`` beside it and the numpy the trees import.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import os
 import re
-import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from revision import REPO, run_cli, unpacked
+
 sys.path.insert(0, str(REPO / "tests"))
 from scaling import REPORT_NAME, same_report, scaled_text  # noqa: E402  (the tests' own rule)
 
@@ -49,41 +46,18 @@ COMMANDS = {
     "verdict": ["verdict", "--draws", "1000"],
 }
 
-# run with one tree's src on PYTHONPATH: reads [csv path, [[argv, ...] per
-# file]] on stdin, where each file's scaled text comes first, and writes
-# [exit code, stdout, stderr] for each run, all made by one process
-RUNNER = """
-import contextlib, io, json, sys
-from twinreg.cli import main
-path, files = json.load(sys.stdin)
-runs = []
-for text, argvs in files:
-    with open(path, "w") as fh:
-        fh.write(text)
-    for argv in argvs:
-        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--input", path, "--format", "json"])
-        out.flush()
-        runs.append([code, out.buffer.getvalue().decode(), err.getvalue()])
-json.dump(runs, sys.stdout)
-"""
 
-def run_tree(root: Path, files: list, chunk: int = 100):
-    """[exit code, stdout, stderr] of each run, one process per chunk of files."""
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+def run_texts(root: Path, texts: list[str], chunk: int = 100):
+    """[exit code, stdout, stderr] of each command as JSON on each CSV text, in
+    order, one process per chunk of texts."""
     with tempfile.TemporaryDirectory() as tmp:
-        for i in range(0, len(files), chunk):
-            done = subprocess.run(
-                [sys.executable, "-c", RUNNER],
-                input=json.dumps([str(Path(tmp) / "scaled.csv"), files[i : i + chunk]]),
-                capture_output=True,
-                text=True,
-                cwd=root,
-                env=env,
-                check=True,
-            )
-            yield from json.loads(done.stdout)
+        for i in range(0, len(texts), chunk):
+            argvs = []
+            for j, text in enumerate(texts[i : i + chunk]):
+                path = Path(tmp) / f"scaled-{j}.csv"
+                path.write_text(text)
+                argvs += [[*a, "--input", str(path), "--format", "json"] for a in COMMANDS.values()]
+            yield from run_cli(root, argvs)
 
 
 def spans(ks: list[int], step: int) -> str:
@@ -100,15 +74,15 @@ def spans(ks: list[int], step: int) -> str:
 
 def report(title: str, root: Path, ks: list[int], step: int) -> None:
     text = FIXTURE.read_text()
-    ref = list(run_tree(root, [[text, list(COMMANDS.values())]]))
-    files, keys = [], []
+    ref = list(run_texts(root, [text]))
+    texts, keys = [], []
     for column in REPORT_NAME:
         for k in ks:
             scaled = scaled_text(text, column, k)
             if scaled is not None:
-                files.append([scaled, list(COMMANDS.values())])
+                texts.append(scaled)
                 keys.append((column, k))
-    runs = run_tree(root, files)
+    runs = run_texts(root, texts)
     results = {}  # (column, command) -> {k: "same" | "differs" | refusal message}
     for column, k in keys:
         for (command, _), (_, ref_out, _) in zip(COMMANDS.items(), ref):
@@ -147,13 +121,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     ks = list(range(-1074, 1024, args.step))
     if args.rev:
-        archive = subprocess.run(
-            ["git", "-C", str(REPO), "archive", args.rev], capture_output=True, check=True
-        ).stdout
-        with tempfile.TemporaryDirectory() as tmp:
-            with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-                tar.extractall(tmp, filter="data")
-            report(args.rev, Path(tmp), ks, args.step)
+        with unpacked(args.rev) as tree:
+            report(args.rev, tree, ks, args.step)
     report("working tree", REPO, ks, args.step)
     return 0
 

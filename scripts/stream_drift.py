@@ -11,55 +11,22 @@ as JSON, for seeds 1-6 and 42 x 1e4 and 1e6 draws x equal-tailed and
 the largest relative change of each JSON float over the grid, and whether
 the exit codes, every PIROPE, every JSON value that is not a float (names,
 verdicts, counts) and every text output are identical.  It uses only the
-standard library, git and the numpy the two trees import.
+standard library, git, ``revision.py`` beside it and the numpy the two
+trees import.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import os
-import subprocess
 import sys
-import tarfile
-import tempfile
-from pathlib import Path
 
-REPO = Path(__file__).resolve().parent.parent
+from revision import REPO, run_cli, unpacked
+
 FIXTURE = REPO / "data" / "loanloss_quarterly.csv"
 COMMANDS = ("bayes", "report", "verdict")
 SEEDS = ("1", "2", "3", "4", "5", "6", "42")
 DRAWS = ("10000", "1000000")
-
-# run with one tree's src on PYTHONPATH: reads a JSON list of argvs on stdin
-# and writes [exit code, stdout] for each, all made by one process
-DRIVER = """
-import io, json, sys
-from twinreg.cli import main
-runs = []
-for argv in json.load(sys.stdin):
-    sys.stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-    code = main(argv)
-    sys.stdout.flush()
-    runs.append([code, sys.stdout.buffer.getvalue().decode()])
-sys.stdout = sys.__stdout__
-json.dump(runs, sys.stdout)
-"""
-
-
-def run_tree(root: Path, argvs: list[list[str]]) -> list[list]:
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    done = subprocess.run(
-        [sys.executable, "-c", DRIVER],
-        input=json.dumps(argvs),
-        capture_output=True,
-        text=True,
-        cwd=root,
-        env=env,
-        check=True,
-    )
-    return json.loads(done.stdout)
 
 
 def leaves(doc, path=""):
@@ -92,14 +59,9 @@ def main(argv: list[str] | None = None) -> int:
         + (["--hdi"] if hdi else [])
         for cmd, fmt, seed, draws, hdi in grid
     ]
-    archive = subprocess.run(
-        ["git", "-C", str(REPO), "archive", args.rev], capture_output=True, check=True
-    ).stdout
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        old = run_tree(Path(tmp), argvs)
-    new = run_tree(REPO, argvs)
+    with unpacked(args.rev) as tree:
+        old = run_cli(tree, argvs)
+    new = run_cli(REPO, argvs)
 
     codes = sum(a[0] == b[0] for a, b in zip(old, new))
     texts = [a[1] == b[1] for (_, fmt, *_), a, b in zip(grid, old, new) if fmt == "text"]

@@ -230,6 +230,16 @@ def _ascending(draws: Sequence[float]) -> np.ndarray:
     return x
 
 
+def _interval_draws(draws: Sequence[float], level: float, name: str) -> np.ndarray:
+    """_ascending(draws), once name's checks pass: at least 100 draws and 0 < level < 1."""
+    x = _ascending(draws)
+    if len(x) < 100:
+        raise ValueError(f"{name} needs at least 100 draws, got {len(x)}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    return x
+
+
 def _quantile(x: np.ndarray, q: float) -> float:
     """numpy's default ("linear") quantile of an ascending column, bit for bit."""
     n = len(x)
@@ -244,22 +254,14 @@ def _quantile(x: np.ndarray, q: float) -> float:
 
 def credible_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
     """Equal-tailed interval between the (1-level)/2 and 1-(1-level)/2 quantiles."""
-    x = _ascending(draws)
-    if len(x) < 100:
-        raise ValueError(f"credible_interval needs at least 100 draws, got {len(x)}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    x = _interval_draws(draws, level, "credible_interval")
     alpha = (1.0 - level) / 2.0
     return _quantile(x, alpha), _quantile(x, 1.0 - alpha)
 
 
 def hdi_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
     """Highest-density interval: the shortest window holding the target mass."""
-    x = _ascending(draws)
-    if len(x) < 100:
-        raise ValueError(f"hdi_interval needs at least 100 draws, got {len(x)}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    x = _interval_draws(draws, level, "hdi_interval")
     n = len(x)
     m = int(math.ceil(level * n))  # level < 1, so m <= n: one window at m = n
     widths = x[m - 1 :] - x[: n - m + 1]

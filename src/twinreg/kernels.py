@@ -206,20 +206,20 @@ _SM64_GAMMA = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
 _SM64_MIX2 = 0x94D049BB133111EB
 _INV_2POW53 = 2.0**-53
-# -sin(pi b) / b in powers of b**2, lowest first: a least-squares fit at 40
-# digits (mpmath) on 400 Chebyshev nodes of b**2 in [0, 1/4], each rounded to
-# the nearest double; cos(2 pi u) from _cos_2pi_into is then within 4e-16 of
-# the true value (2.8e-16 measured against mpmath)
+# -sin(2 pi c) / c in powers of c**2, lowest first: a 40-digit (mpmath) least-squares
+# fit of -sin(pi b) / b on 400 Chebyshev nodes of b**2 in [0, 1/4], rounded to doubles,
+# then term k times 2**(2k+1) for b = 2c, which is exact; cos(2 pi u) from
+# _cos_2pi_into is within 4e-16 of the true value (2.8e-16 measured against mpmath)
 _COS_COEF = (
-    -3.141592653589793,
-    5.167712780049969,
-    -2.5501640398773007,
-    0.599264529318946,
-    -0.08214588657312355,
-    0.007370430506093225,
-    -0.00046629981702308817,
-    2.1903499125519212e-05,
-    -7.697847275590284e-07,
+    -6.283185307179586,
+    41.341702240399755,
+    -81.60524927607362,
+    76.70585975282509,
+    -42.05869392543926,
+    15.094641676478926,
+    -3.8199281010531383,
+    0.7177338593450135,
+    -0.10089722381061697,
 )
 _SLICE = 1 << 15  # outputs made per pass: a slice and its scratch stay in L2
 # threads that large calls spread over: the CPUs this process may run on
@@ -299,7 +299,7 @@ def _ramp(n: int, step: int) -> np.ndarray:
 
 
 def _as_uniforms(raw: np.ndarray) -> np.ndarray:
-    """The top 53 bits of raw outputs as doubles in [0, 1), in raw's own memory."""
+    """Every uniform of the stream: raw outputs' top 53 bits * 2**-53, in raw's memory."""
     raw >>= np.uint64(11)
     # in place: exact below 2**53, and each word is read before its double
     # is written over it (np.multiply would copy the overlap)
@@ -309,50 +309,42 @@ def _as_uniforms(raw: np.ndarray) -> np.ndarray:
     return u
 
 
-def _cos_2pi_into(o: np.ndarray, s: np.ndarray, h: np.ndarray) -> None:
-    """o = cos(2 pi u) for u = k * 2**-53, where o holds the integers k < 2**53.
+def _cos_2pi_into(o: np.ndarray, u: np.ndarray, s: np.ndarray) -> None:
+    """o = cos(2 pi u) for uniforms u = k * 2**-53; u and s are overwritten.
 
-    The fold b = 1/2 - |2u - 1| is exact and gives cos(2 pi u) = -sin(pi b)
-    with |b| <= 1/2; then -b * P(b**2) by Horner over _COS_COEF, one
-    in-place ufunc per step in this order.  Only +, -, *, and abs round, so
-    the bits do not depend on the math library or the CPU.  s and h are
-    scratch as long as o.
+    The exact fold c = 1/4 - |u - 1/2| gives cos(2 pi u) = -sin(2 pi c), |c| <= 1/4,
+    and that is c * P(c**2) by Horner over _COS_COEF, one in-place ufunc per step
+    in this order, with c**2 in s and the Horner sum in u.  Only +, -, *, and abs
+    round, so the bits do not depend on the math library or the CPU.
     """
-    o *= 2.0**-52
-    o -= 1.0
+    np.subtract(u, 0.5, out=o)
     np.abs(o, out=o)
-    np.subtract(0.5, o, out=o)
+    np.subtract(0.25, o, out=o)
     np.multiply(o, o, out=s)
-    np.multiply(s, _COS_COEF[-1], out=h)
+    np.multiply(s, _COS_COEF[-1], out=u)
     for c in reversed(_COS_COEF[1:-1]):
-        h += c
-        h *= s
-    h += _COS_COEF[0]
-    o *= h
+        u += c
+        u *= s
+    u += _COS_COEF[0]
+    o *= u
 
 
 def _box_muller_into(o: np.ndarray, seed: int, count: int, ramp: np.ndarray) -> None:
     """Normal i of o from outputs count+2i+1 (u1) and count+2i+2 (u2).
 
     The whole pipeline runs on one block while it is in cache: splitmix64,
-    the top 53 bits as a double, then sqrt(-2 log(1 - u1)) * cos(2 pi u2),
-    one ufunc per operation, with the cosine from ``_cos_2pi_into``; log is
-    the one step whose bits come from numpy's math library.  ramp holds the
-    step-2 offsets and is only read.  The scratch, z (raw outputs, and the
-    Horner sum between the two passes) and r (the mixing scratch, b**2
-    between the passes, then u1), is as long as o and freed on return.
+    ``_as_uniforms``, then sqrt(-2 log(1 - u1)) * cos(2 pi u2), one ufunc per operation,
+    with the cosine from ``_cos_2pi_into``; log is the one step whose bits come from
+    numpy's math library.  ramp holds the step-2 offsets and is only read.  The scratch,
+    freed on return, is as long as o: z holds the raw outputs, then u2 and the Horner
+    sum, then u1; r holds the mixing scratch, then c**2, then -2 log(1 - u1) and its root.
     """
     z, r = np.empty(len(o), dtype=np.uint64), np.empty(len(o))
     ri = r.view(np.uint64)
     _splitmix(z, ri, ramp, seed, count + 2)
-    z >>= np.uint64(11)
-    np.copyto(o, z, casting="unsafe")  # exact below 2**53; no cast buffer
-    _cos_2pi_into(o, r, z.view(np.float64))
+    _cos_2pi_into(o, _as_uniforms(z), r)
     _splitmix(z, ri, ramp, seed, count + 1)
-    z >>= np.uint64(11)
-    np.copyto(r, z, casting="unsafe")
-    r *= _INV_2POW53
-    np.subtract(1.0, r, out=r)
+    np.subtract(1.0, _as_uniforms(z), out=r)
     np.log(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
@@ -391,17 +383,17 @@ class RandomSource:
 
     Output k is mix64(seed + k * gamma) with the splitmix64 finalizer, so
     equal seeds give bit-identical streams and any output can be made
-    without the ones before it.  The uniform of output k is its top 53 bits
-    times 2**-53, in [0, 1).  Each draw takes the next block of counters;
-    c is the counter before it.
+    without the ones before it.  Its uniform, the top 53 bits times 2**-53
+    in [0, 1), comes from ``_as_uniforms`` for every draw.  Each draw takes
+    the next block of counters; c is the counter before it.
 
     ``normal_rows(out, transform)`` draws a (rows, p) array of standard
     normals from outputs c+1 .. c+2*rows*p: normal (r, j) is
     sqrt(-2 log(1 - u1)) * cos(2 pi u2) with u1 and u2 the uniforms of
-    outputs c+2(r*p+j)+1 and c+2(r*p+j)+2.  The cosine is an exact fold and
-    a fixed polynomial (``_cos_2pi_into``) that gives the same bits on any
-    CPU; the log is numpy's, whose last bit may depend on the SIMD level
-    numpy dispatches.  The rows are made in blocks of ``_SLICE // p`` rows
+    outputs c+2(r*p+j)+1 and c+2(r*p+j)+2.  The cosine is an exact fold of
+    u2 and a fixed polynomial (``_cos_2pi_into``) that gives the same bits
+    on any CPU; the log is numpy's, whose last bit may depend on the SIMD
+    level numpy dispatches.  The rows are made in blocks of ``_SLICE // p`` rows
     (a final block of one row joins the block before it), each in scratch
     while it is in cache and handed to the transform, which writes its rows
     of out, so a caller never holds all the normals beside their

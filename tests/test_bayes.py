@@ -265,6 +265,29 @@ class TestHdiInterval:
         assert hdi_interval(x, 0.995) == (-3.0, 5.0)
 
 
+@pytest.mark.parametrize("interval", [credible_interval, hdi_interval])
+class TestIntervalArguments:
+    # both estimators refuse with the same two messages, the draw count first
+    def test_fewer_than_100_draws(self, interval):
+        for n in (0, 1, 99):
+            with pytest.raises(ValueError) as exc:
+                interval(np.arange(float(n)), 0.89)
+            assert str(exc.value) == f"{interval.__name__} needs at least 100 draws, got {n}"
+        with pytest.raises(ValueError) as exc:
+            interval(np.arange(99.0), 1.5)
+        assert str(exc.value) == f"{interval.__name__} needs at least 100 draws, got 99"
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_level_outside_0_1(self, interval, level):
+        with pytest.raises(ValueError) as exc:
+            interval(np.arange(100.0), level)
+        assert str(exc.value) == f"level must lie in (0, 1), got {level}"
+
+    def test_100_draws_and_a_level_inside_are_taken(self, interval):
+        lo, hi = interval(np.arange(100.0), 0.5)
+        assert 0.0 <= lo < hi <= 99.0
+
+
 class TestPirope:
     def test_hand_computed_fraction(self):
         draws = np.arange(100.0)

@@ -322,27 +322,28 @@ def marsaglia_tsang_round_with_squeeze(x, u, c, d):
 
 
 def cos_2pi_by_fold_and_horner(u):
-    """cos(2 pi u) as documented: b = 1/2 - |2u - 1| (exact for u = k * 2**-53),
-    then -b * P(b**2) by Horner over the coefficients, highest first."""
-    b = 0.5 - np.abs(2.0 * u - 1.0)
-    s = b * b
+    """cos(2 pi u) as documented: c = 1/4 - |u - 1/2| (exact for u = k * 2**-53),
+    then c * P(c**2) by Horner over the coefficients, highest first."""
+    c = 0.25 - np.abs(u - 0.5)
+    s = c * c
     coef = kernels._COS_COEF
     h = s * coef[-1]
-    for c in reversed(coef[1:-1]):
-        h = (h + c) * s
-    return b * (h + coef[0])
+    for a in reversed(coef[1:-1]):
+        h = (h + a) * s
+    return c * (h + coef[0])
 
 
 class TestBoxMullerCosine:
     def test_within_4e_16_of_cos_2pi_u(self):
-        # 30k seeded u plus 0, 1/4, 1/2, 3/4 and 1 - 2**-53 with 16 neighbours
-        # on each side, against a 40-digit cosine
+        # u = k * 2**-53 at 30k seeded k plus 0, 1/4, 1/2, 3/4 and 1 - 2**-53
+        # with 16 neighbours on each side, against a 40-digit cosine
         mp = pytest.importorskip("mpmath")
         k = np.random.default_rng(2104).integers(0, 2**53, 30_000, dtype=np.uint64)
         edges = [e + i for e in (0, 2**51, 2**52, 3 * 2**51, 2**53 - 1) for i in range(-16, 17)]
         k = np.concatenate([k, np.array([e for e in edges if 0 <= e < 2**53], dtype=np.uint64)])
-        got = k.astype(np.float64)
-        kernels._cos_2pi_into(got, np.empty_like(got), np.empty_like(got))
+        u = k.astype(np.float64) * 2.0**-53  # exact below 2**53
+        got = np.empty_like(u)
+        kernels._cos_2pi_into(got, u, np.empty_like(u))
         with mp.workdps(40):
             step = 2 * mp.pi / 2**53
             err = max(abs(mp.mpf(c) - mp.cos(step * int(i))) for i, c in zip(k, got.tolist()))
@@ -373,8 +374,8 @@ def uniforms(k):  # the uniforms of outputs k+1 .. k+n of seed 2104
     kernels._splitmix(z, t, kernels._ramp(n, 1), 2104, k + 1)
     return kernels._as_uniforms(z)
 
-cos = uniforms(0) * 2.0**53
-kernels._cos_2pi_into(cos, np.empty(n), np.empty(n))
+cos = np.empty(n)
+kernels._cos_2pi_into(cos, uniforms(0), np.empty(n))
 d = 19.5 - 1.0 / 3.0
 x, u, dv = 8.0 * uniforms(n) - 4.0, uniforms(2 * n), np.empty(n)
 c = 1.0 / math.sqrt(9.0 * d)
