@@ -8,16 +8,17 @@ Model and parameterization
 Slope columns are centered before conditioning, following the convention of
 weakly-informative reference implementations (rstanarm-style): the intercept
 prior applies to the expected response at average predictor values, where
-"centered intercept = mean response" is a meaningful default, and the raw
-intercept is recovered per draw as alpha_c - sum_j beta_j * xbar_j.
+"centered intercept = mean response" is a meaningful default.
 
 With Z the centered design, the conjugate update for (beta_c, sigma2) is
 
     Lambda_n = Z'Z + Lambda_0          mu_n = Lambda_n^-1 (Z'y + Lambda_0 mu_0)
-    a_n = a_0 + n/2                    b_n = b_0 + (y'y + mu_0'Lambda_0 mu_0
-                                                    - mu_n'Lambda_n mu_n)/2
+    a_n = a_0 + n/2                    b_n = b_0 + (r'r + delta'Lambda_0 delta)/2
 
-then sigma2 ~ InvGamma(a_n, b_n) and beta_c | sigma2 ~ N(mu_n, sigma2 Lambda_n^-1).
+with delta = Lambda_n^-1 Z'(y - Z mu_0) = mu_n - mu_0 and r = y - Z mu_n: the
+textbook y'y + mu_0'Lambda_0 mu_0 - mu_n'Lambda_n mu_n as a sum of squares, so
+b_n >= b_0 > 0 and no terms cancel.  Then sigma2 ~ InvGamma(a_n, b_n) and
+beta_c | sigma2 ~ N(mu_n, sigma2 U_inv U_inv'), where U_inv U_inv' = Lambda_n^-1.
 
 Default priors are auto-scaled from the data: coefficient sd 2.5 * sd(y)/sd(x_j)
 (intercept: 2.5 * sd(y) around mean(y)).  Because the conditional prior
@@ -28,9 +29,10 @@ and, unless overridden, scale auto-set to shape times the OLS residual
 variance so the prior scale matches the data scale.
 
 The update runs on Z and y at the power-of-two scale ``ols.fit_ols`` chose,
-where no sum of squares over- or underflows; the scale-back is folded into
-U_inv's rows and mu_n, and each returned number passes the output rule
-``kernels.scaled_back``.
+where no sum of squares over- or underflows.  There the raw intercept
+alpha_c - sum_j beta_j xbar_j, linear in beta_c, is folded into mu_n[0] and U_inv's
+first row, then the scale-back into mu_n and U_inv's rows, so every column of a draw
+is mu_n + sqrt(sigma2) U_inv z; each returned number passes ``kernels.scaled_back``.
 """
 
 from __future__ import annotations
@@ -151,8 +153,7 @@ def sample_posterior(
     if s2_ols <= 0.0:
         s2_ols = float(np.var(y, ddof=1))  # > 0: fit_ols refuses a constant response
 
-    xbar = np.zeros(p)
-    xbar[1:] = X[:, 1:].mean(axis=0)
+    xbar = np.append(0.0, X[:, 1:].mean(axis=0))
     Z = X - xbar
 
     # at the fit's scale, an sd whose square overflows gives precision 0, a flat
@@ -170,10 +171,14 @@ def sample_posterior(
     U_inv = np.linalg.inv(np.linalg.cholesky(A).T)
     mu_n = U_inv @ (U_inv.T @ (Z.T @ y + lam0 * mu0))
 
+    r0 = y - Z @ mu0
+    delta = U_inv @ (U_inv.T @ (Z.T @ r0))  # mu_n - mu0
+    r = r0 - Z @ delta  # y - Z mu_n
     a_n = prior.sigma2_shape + 0.5 * n
-    b_n = b0 + 0.5 * (float(y @ y) + float(mu0 * lam0 @ mu0) - float(mu_n @ (A @ mu_n)))
-    if b_n <= 0.0:
-        raise DataError(f"posterior scale collapsed to {b_n}; check the prior spec")
+    b_n = b0 + 0.5 * (float(r @ r) + float(delta * lam0 @ delta))
+    fold = np.ldexp(xbar[1:], int(fit.x_exp[0]))  # the raw intercept, at the fit's scale
+    mu_n[0] -= fold @ mu_n[1:]
+    U_inv[0] -= fold @ U_inv[1:]
 
     # sigma2 is drawn at 2**-2m of the fit's scale, near 1, and U_inv's rows at
     # 2**m times the units of each coefficient: their product, the spread of
@@ -183,18 +188,16 @@ def sample_posterior(
     what = [f"posterior of {c!r}" for c in d.names]
     mu_n = scaled_back(mu_n, coef_exp, what)
     U_inv = scaled_back(U_inv, (coef_exp + m)[:, None], [[w] for w in what])
-    xbar = np.ldexp(xbar, fit.x_exp)
 
     def to_draws(z, dst, rows):
-        # row k is mu_n + sqrt(sigma2_k) * U_inv z_k, i.e. L' w_k = z_k; the
-        # block is worked in C order and then copied into the columns: with
-        # a column-major out=, matmul runs a transposed GEMM whose bits differ;
+        # row k is mu_n + sqrt(sigma2_k) * U_inv z_k, the raw intercept too; the
+        # block is worked in C order and then copied into the columns: with a
+        # column-major out=, matmul runs a transposed GEMM whose bits differ;
         # a draw beyond the doubles is left inf, refused by summarize_posterior
         with np.errstate(over="ignore", invalid="ignore"):
             block = z @ U_inv.T
             block *= np.sqrt(sigma2[rows])[:, None]
             block += mu_n
-            block[:, 0] -= block[:, 1:] @ xbar[1:]
         dst[...] = block
 
     beta = np.empty((draws, p), order="F")

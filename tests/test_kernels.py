@@ -349,6 +349,20 @@ class TestBoxMullerCosine:
             err = max(abs(mp.mpf(c) - mp.cos(step * int(i))) for i, c in zip(k, got.tolist()))
         assert err <= 4e-16
 
+    def test_coefficients_are_the_documented_fit(self):
+        # the refit the _COS_COEF comment describes, independent of the table:
+        # -sin(pi b) / b against x = b**2 at the 400 first-kind Chebyshev nodes
+        # of [0, 1/4], unweighted least squares at 40 digits, rounded, term k
+        # times 2**(2k+1); the refit must give every literal bit for bit
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            nodes = [(1 + mp.cos((2 * i + 1) * mp.pi / 800)) / 8 for i in range(400)]
+            powers = mp.matrix([[x**k for k in range(9)] for x in nodes])
+            f = mp.matrix([-mp.sin(mp.pi * mp.sqrt(x)) / mp.sqrt(x) for x in nodes])
+            fit, _ = mp.qr_solve(powers, f)
+        refit = [math.ldexp(float(a), 2 * k + 1).hex() for k, a in enumerate(fit)]
+        assert refit == [a.hex() for a in kernels._COS_COEF]
+
     def test_normals_are_within_1e_15_r_of_the_math_module(self):
         # |z - r cos(2 pi u2)| <= 1e-15 r with r = sqrt(-2 log(1 - u1)), all
         # from math per value: the polynomial's and math.cos's errors summed
