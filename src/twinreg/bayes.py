@@ -31,8 +31,8 @@ variance so the prior scale matches the data scale.
 The update runs on Z and y at the power-of-two scale ``ols.fit_ols`` chose,
 where no sum of squares over- or underflows.  There the raw intercept
 alpha_c - sum_j beta_j xbar_j, linear in beta_c, is folded into mu_n[0] and U_inv's
-first row, then the scale-back into mu_n and U_inv's rows, so every column of a draw
-is mu_n + sqrt(sigma2) U_inv z; each returned number passes ``kernels.scaled_back``.
+first row, and each draw mu_n + sqrt(sigma2) U_inv z is formed before it is scaled
+back to coefficient units; each returned number passes ``kernels.scaled_back``.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .kernels import RandomSource, median_of_sorted, spread
-from .kernels import scale_exponent, scaled_back
+from .kernels import RandomSource, scale_exponent, scaled_back, spread
 from .ols import DesignMatrix, OlsFit
 
 
@@ -163,9 +162,13 @@ def sample_posterior(
         mu0 = np.ldexp(prior.coef_mean, -coef_exp)
         scale = prior.sigma2_scale
         b0 = prior.sigma2_shape * s2_ols if scale is None else float(np.ldexp(scale, -2 * y_exp))
-    if not np.isfinite(lam0).all():  # an sd so small that its precision overflows
-        j = int(np.argmin(np.isfinite(lam0)))
-        raise DataError(f"prior sd of {d.names[j]!r} too small: {prior.coef_sd[j]:.6g}")
+
+    def check_sd(ok):  # refuses the first prior sd for which ok is False
+        if not ok.all():
+            j = int(np.argmin(ok))
+            raise DataError(f"prior sd of {d.names[j]!r} too small: {prior.coef_sd[j]:.6g}")
+
+    check_sd(np.isfinite(lam0))  # an sd so small that its precision overflows
     A = Z.T @ Z + np.diag(lam0)
     # A = L L' so A^-1 = U_inv U_inv' with U_inv = (L')^-1, a single p x p inverse
     U_inv = np.linalg.inv(np.linalg.cholesky(A).T)
@@ -180,25 +183,21 @@ def sample_posterior(
     mu_n[0] -= fold @ mu_n[1:]
     U_inv[0] -= fold @ U_inv[1:]
 
-    # sigma2 is drawn at 2**-2m of the fit's scale, near 1, and U_inv's rows at
-    # 2**m times the units of each coefficient: their product, the spread of
-    # the draws, is formed at the scale of the draws themselves
+    # sigma2 at 2**-2m of the fit's scale, near 1, times U_inv at 2**m: the spread at it
     m = int(scale_exponent(b_n)) // 2
+    np.ldexp(U_inv, m, out=U_inv)
+    check_sd(U_inv.diagonal() >= 2.0**-1022)  # 2**m / L_jj: each column's spread
     sigma2 = rs.inverse_gammas(draws, a_n, math.ldexp(b_n, -2 * m))
-    what = [f"posterior of {c!r}" for c in d.names]
-    mu_n = scaled_back(mu_n, coef_exp, what)
-    U_inv = scaled_back(U_inv, (coef_exp + m)[:, None], [[w] for w in what])
 
     def to_draws(z, dst, rows):
-        # row k is mu_n + sqrt(sigma2_k) * U_inv z_k, the raw intercept too; the
-        # block is worked in C order and then copied into the columns: with a
-        # column-major out=, matmul runs a transposed GEMM whose bits differ;
-        # a draw beyond the doubles is left inf, refused by summarize_posterior
+        # row k, mu_n + sqrt(sigma2_k) U_inv z_k at the fit's scale (raw intercept too), then
+        # times 2**coef_exp, in place; z U_inv' is made in C order and copied in, as matmul
+        # into columns can vary its bits with the block's length; an overflow is left inf
+        dst[...] = z @ U_inv.T
         with np.errstate(over="ignore", invalid="ignore"):
-            block = z @ U_inv.T
-            block *= np.sqrt(sigma2[rows])[:, None]
-            block += mu_n
-        dst[...] = block
+            dst *= np.sqrt(sigma2[rows])[:, None]
+            dst += mu_n
+            np.ldexp(dst, coef_exp, out=dst)
 
     beta = np.empty((draws, p), order="F")
     rs.normal_rows(beta, to_draws)
@@ -243,6 +242,13 @@ def _interval_draws(draws: Sequence[float], level: float, name: str) -> np.ndarr
     return x
 
 
+def _at_scale(a: float, b: float, f=lambda a, b: (a + b) / 2) -> float:
+    """f(a, b), by default the midpoint, formed where max(|a|, |b|) is in [0.5, 1)
+    and scaled back: no step under- or overflows, so it scales with a and b."""
+    e = math.frexp(max(abs(a), abs(b)))[1]
+    return math.ldexp(f(math.ldexp(a, -e), math.ldexp(b, -e)), e)
+
+
 def _quantile(x: np.ndarray, q: float) -> float:
     """numpy's default ("linear") quantile of an ascending column, bit for bit."""
     n = len(x)
@@ -252,7 +258,7 @@ def _quantile(x: np.ndarray, q: float) -> float:
         return float(x[-1])
     a, b = float(x[lo]), float(x[lo + 1])
     g = vi - lo
-    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+    return _at_scale(a, b, lambda a, b: b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g)
 
 
 def credible_interval(draws: Sequence[float], level: float) -> tuple[float, float]:
@@ -320,7 +326,8 @@ def summarize_posterior(
         # is not finite (nan sorts last), so the interval sees none
         scaled_back([ranked[0], ranked[-1]], 0, f"draws of {name!r}")
         lo, hi = interval(ranked, level)
-        values = [median_of_sorted(ranked), lo, hi, 0.5 * (lo + hi)]
+        # np.median's middle pair, one draw twice for an odd count
+        values = [_at_scale(*ranked[[(draws - 1) // 2, draws // 2]]), lo, hi, _at_scale(lo, hi)]
         what = [f"{v} of {name!r}" for v in ("median", "ci_low", "ci_high", "ci_midpoint")]
         median, lo, hi, mid = map(float, scaled_back(values, 0, what))
         out.append(

@@ -3,10 +3,13 @@
 ``ln_gamma`` normalizes the hand-written densities the tail tests integrate,
 so an oracle and the tail under test never share a log-gamma term.  The
 ``*_by_mpmath`` tails are 50-digit regularized incomplete betas and gammas at
-the exact double arguments the tail under test receives.
+the exact double arguments the tail under test receives, and
+``nig_posterior_by_mpmath`` is the conjugate update to 60 digits from the
+doubles the sampler reads.
 """
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 
@@ -56,3 +59,48 @@ def relative_error(got: float, want) -> float:
     """|got / want - 1| for a double got and a 50-digit want."""
     with mpmath.workdps(50):
         return float(abs(mpmath.mpf(got) / want - 1))
+
+
+def nig_posterior_by_mpmath(d, fit, prior):
+    """The Normal-Inverse-Gamma posterior of ``bayes.sample_posterior`` to 60 digits.
+
+    Computed from the doubles the sampler reads, the design and response at
+    the fit's scale, on an exactly centered design, with bₙ in the textbook
+    form b₀ + (y'y + μ₀'Λ₀μ₀ − μₙ'Λₙμₙ)/2.  Its terms cancel by up to ~320
+    digits when Λ₀ nears the largest double, so it works at 400.  Returns a_n and
+    b_n at the fit's scale, and ``loc`` and ``scale``, each raw coefficient's
+    Student-t marginal (2 a_n degrees of freedom) in its own units: the
+    intercept unfolded from the centered one, c'μₙ with
+    c = (1, −x̄₁·2**x_exp[0], …).
+    """
+    X, y = fit.scaled_design(d)
+    n, p = X.shape
+    with mpmath.workdps(400):
+        coef_exp = [int(e) for e in fit.y_exp - fit.x_exp]
+        s2 = mpmath.ldexp(fit.sigma2_hat, -2 * fit.y_exp)
+        sd = [mpmath.ldexp(v, -e) for v, e in zip(prior.coef_sd.tolist(), coef_exp)]
+        lam0 = [s2 / v**2 for v in sd]
+        mu0 = [mpmath.ldexp(v, -e) for v, e in zip(prior.coef_mean.tolist(), coef_exp)]
+        Z = mpmath.matrix(X.tolist())
+        c = mpmath.matrix(1, p)
+        c[0] = 1
+        for j in range(1, p):
+            xbar = mpmath.fsum(Z[:, j]) / n
+            c[j] = -xbar * mpmath.ldexp(1, int(fit.x_exp[0]))
+            for i in range(n):
+                Z[i, j] -= xbar
+        A = Z.T * Z + mpmath.diag(lam0)
+        zy = Z.T * mpmath.matrix(y.tolist())
+        mu_n = mpmath.lu_solve(A, mpmath.matrix([zy[j] + lam0[j] * mu0[j] for j in range(p)]))
+        yy = mpmath.fsum(mpmath.mpf(v) ** 2 for v in y.tolist())
+        quad = yy + mpmath.fsum(lj * mj**2 for lj, mj in zip(lam0, mu0)) - (mu_n.T * A * mu_n)[0]
+        a_n = prior.sigma2_shape + mpmath.mpf(n) / 2
+        if prior.sigma2_scale is None:
+            b_n = prior.sigma2_shape * s2 + quad / 2
+        else:
+            b_n = mpmath.ldexp(prior.sigma2_scale, -2 * fit.y_exp) + quad / 2
+        cov = A**-1 * (b_n / a_n)  # the marginals' squared scales at the fit's scale
+        rows = [c] + [mpmath.matrix([[int(i == j) for i in range(p)]]) for j in range(1, p)]
+        loc = [mpmath.ldexp((r * mu_n)[0], e) for r, e in zip(rows, coef_exp)]
+        scale = [mpmath.ldexp(mpmath.sqrt((r * cov * r.T)[0]), e) for r, e in zip(rows, coef_exp)]
+        return SimpleNamespace(a_n=a_n, b_n=b_n, loc=loc, scale=scale)

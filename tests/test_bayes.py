@@ -6,16 +6,16 @@ the least-squares solution.  Interval helpers get brute-force oracles built
 inside the tests.
 """
 
+import dataclasses
 import math
 import threading
 import tracemalloc
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import relative_error
+from oracles import nig_posterior_by_mpmath, relative_error
 from twinreg import (
     DataError,
     DesignMatrix,
@@ -136,6 +136,19 @@ class TestSamplePosterior:
             tracemalloc.stop()
         assert peak <= 4 * post.beta.nbytes
 
+    def test_a_spread_below_the_normal_doubles_names_the_prior(self):
+        # an exact fit at the prior mean leaves b_n = b_0, here 2**-1060 at the
+        # fit's scale, and a prior sd of 2**-502 there makes 2**m / L_jj, each
+        # column's spread, 2**-1030; in response units the sigma2 draws fit
+        x = np.tile([-1.0, 1.0], 4)
+        y = np.ldexp(3.0 + 2.0 * x, 100)
+        d = DesignMatrix(X=np.column_stack([np.ones(8), x]), y=y, names=("(Intercept)", "x"))
+        fit = dataclasses.replace(fit_ols(d), sigma2_hat=0.0)
+        prior = default_prior(d, coef_sd=2.0**-400, sigma2_scale=2.0**-854)
+        prior.coef_mean[1] = math.ldexp(2.0, 100)
+        with pytest.raises(DataError, match=r"^prior sd of '\(Intercept\)' too small: 3\.87259e-121$"):
+            sample_posterior(d, fit, prior, 1000, RandomSource(1))
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_draws_are_made_block_by_block(self, workers, monkeypatch):
         # beta and sigma2 plus a few blocks of scratch per worker: the normals
@@ -217,33 +230,6 @@ class TestSamplePosterior:
             assert abs(med_tight[j]) < 0.05 * abs(med_flat[j])
 
 
-def b_n_by_mpmath(d, fit, prior):
-    """b_n at the fit's scale to 60 digits, from the doubles sample_posterior reads.
-
-    The textbook b_0 + (y'y + mu_0'Lambda_0 mu_0 - mu_n'Lambda_n mu_n)/2 on an
-    exactly centered design: at the priors below its terms cancel by at most
-    ~37 digits, which leaves 20 or more.
-    """
-    X, y = fit.scaled_design(d)
-    n, p = X.shape
-    with mp.workdps(60):
-        scale = [mp.ldexp(1, int(e)) for e in fit.x_exp - fit.y_exp]  # 2**-coef_exp
-        s2 = mp.ldexp(fit.sigma2_hat, -2 * fit.y_exp)
-        lam0 = [s2 / (sd * k) ** 2 for sd, k in zip(prior.coef_sd.tolist(), scale)]
-        mu0 = [m * k for m, k in zip(prior.coef_mean.tolist(), scale)]
-        Z = mp.matrix(X.tolist())
-        for j in range(1, p):
-            xbar = mp.fsum(Z[:, j]) / n
-            for i in range(n):
-                Z[i, j] -= xbar
-        A = Z.T * Z + mp.diag(lam0)
-        zy = Z.T * mp.matrix(y.tolist())
-        mu_n = mp.lu_solve(A, mp.matrix([zy[j] + lam0[j] * mu0[j] for j in range(p)]))
-        yy = mp.fsum(mp.mpf(v) ** 2 for v in y.tolist())
-        quad = yy + mp.fsum(lj * mj**2 for lj, mj in zip(lam0, mu0)) - (mu_n.T * A * mu_n)[0]
-        return prior.sigma2_shape * s2 + quad / 2
-
-
 class TestPosteriorScale:
     # the largest error of the recovered b_n in a sweep of these four priors
     # over OpenBLAS's SkylakeX, Haswell and Prescott kernels was 7.4e-16
@@ -257,7 +243,7 @@ class TestPosteriorScale:
         ratio = np.ldexp(post.sigma2, -2 * fit.y_exp) / unit
         b_n = float(np.median(ratio))
         assert np.abs(ratio - b_n).max() <= 3 * np.spacing(b_n)
-        assert relative_error(b_n, b_n_by_mpmath(d, fit, prior)) <= 1e-15
+        assert relative_error(b_n, nig_posterior_by_mpmath(d, fit, prior).b_n) <= 1e-15
 
 
 class TestRopeBounds:
@@ -421,6 +407,21 @@ class TestSummarizePosterior:
         assert [(s.ci_low, s.ci_high, s.pirope) for s in got] == [
             (s.ci_low, s.ci_high, s.pirope) for s in want
         ]
+
+    # draws in [1, 2) times 2**k: at k = -1018 neighbouring draws differ by a
+    # subnormal, which the quantile's interpolation rounds coarsely unless it
+    # is scaled up, and at 1023 the sums of the median and the midpoint overflow
+    @pytest.mark.parametrize("use_hdi", [False, True])
+    @pytest.mark.parametrize("k", [-1018, 1023])
+    def test_summaries_scale_with_the_draws(self, k, use_hdi):
+        x = 1.0 + np.random.default_rng(22).random(1000)
+
+        def summary(e):
+            post = bayes.PosteriorDraws(np.ldexp(x, e)[:, None], np.ones(len(x)), ("b",))
+            (s,) = summarize_posterior(post, [1.0, 2.0], use_hdi=use_hdi)
+            return [s.median, s.ci_low, s.ci_high, s.ci_midpoint]
+
+        assert summary(k) == [math.ldexp(v, k) for v in summary(0)]
 
 
 class TestThreadUse:

@@ -29,13 +29,14 @@ COMMANDS = (["describe"], ["anova"], ["anova", "--group", "year"], ["ols"], ["ba
 # the same at 1000 draws, for the grid of every column
 GRID_COMMANDS = [c + ["--draws", "1000"] if c[0] in ("bayes", "verdict") else c for c in COMMANDS]
 
-# every k at the edges of the loss range of ols and bayes and where a scaled
-# regressor's coefficient nears the largest double, and a sparse grid out to
-# the ends of the doubles
+# every k at the edges of the loss range of ols and bayes, where a scaled
+# regressor's coefficient nears the largest double and where it nears the
+# smallest normal one, and a sparse grid out to the ends of the doubles
 K_GRID = (
     list(range(-1023, -1007)) + list(range(-512, -499)) + list(range(505, 521))
+    + list(range(1005, 1024))
     + [-1060, -1000, -900, -800, -700, -600, -540, -520, -400, -300, -200, -100,
-       100, 200, 300, 400, 600, 700, 800, 900, 1000, 1020]
+       100, 200, 300, 400, 600, 700, 800, 900, 1000]
 )
 
 
@@ -140,8 +141,8 @@ def test_ols_answers_the_loss_scaled_far_beyond_its_squares(tmp_path, fixture_js
     assert json.loads(out) == expected(fixture_json[("ols",)], "Loss", k)
 
 
-# the draws' spread is formed at their own scale, so bayes answers with a
-# Ratio coefficient of 2**1019 and a posterior sd of 2**1018
+# the draws are formed at the fit's scale and scaled back last, so bayes
+# answers with a Ratio coefficient of 2**1019 and a posterior sd of 2**1018
 def test_bayes_answers_a_coefficient_near_the_largest_double(tmp_path, grid_json):
     command = ["bayes", "--draws", "1000"]
     code, out, err = run_json([*command, "--input", scaled_csv(tmp_path / "s.csv", -1010, "ratio")])
