@@ -190,10 +190,13 @@ def sample_posterior(
     sigma2 = rs.inverse_gammas(draws, a_n, math.ldexp(b_n, -2 * m))
 
     def to_draws(z, dst, rows):
-        # row k, mu_n + sqrt(sigma2_k) U_inv z_k at the fit's scale (raw intercept too), then
-        # times 2**coef_exp, in place; z U_inv' is made in C order and copied in, as matmul
-        # into columns can vary its bits with the block's length; an overflow is left inf
-        dst[...] = z @ U_inv.T
+        # row k, mu_n + sqrt(sigma2_k) U_inv z_k at the fit's scale (raw intercept too), times
+        # 2**coef_exp, in place; an overflow is left inf.  z U_inv' is made in C order and
+        # copied in: into the columns, Prescott kernels vary its bits with the block's length,
+        r = len(z) % 8  # as do those of rows past whole groups of 8 (one is a gemv): padded
+        dst[: len(z) - r] = z[: len(z) - r] @ U_inv.T
+        if r:
+            dst[-r:] = (np.concatenate((z[-r:], np.zeros((8 - r, p)))) @ U_inv.T)[:r]
         with np.errstate(over="ignore", invalid="ignore"):
             dst *= np.sqrt(sigma2[rows])[:, None]
             dst += mu_n

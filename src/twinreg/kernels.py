@@ -193,14 +193,6 @@ def scaled_back(x, e, what):
     return np.ldexp(x, e)
 
 
-def median_of_sorted(x: np.ndarray):
-    """Median along the last axis of ascending rows, bit-identical to ``np.median``."""
-    n = x.shape[-1]
-    if n % 2:
-        return x[..., n // 2]
-    return (x[..., n // 2 - 1] + x[..., n // 2]) / 2
-
-
 _U64_MASK = (1 << 64) - 1
 _SM64_GAMMA = 0x9E3779B97F4A7C15
 _SM64_MIX1 = 0xBF58476D1CE4E5B9
@@ -393,11 +385,10 @@ class RandomSource:
     outputs c+2(r*p+j)+1 and c+2(r*p+j)+2.  The cosine is an exact fold of
     u2 and a fixed polynomial (``_cos_2pi_into``) that gives the same bits
     on any CPU; the log is numpy's, whose last bit may depend on the SIMD
-    level numpy dispatches.  The rows are made in blocks of ``_SLICE // p`` rows
-    (a final block of one row joins the block before it), each in scratch
-    while it is in cache and handed to the transform, which writes its rows
-    of out, so a caller never holds all the normals beside their
-    transformed copy.  The blocks are spread over the workers by
+    level numpy dispatches.  The rows are made in blocks of ``_SLICE // p`` rows,
+    each in scratch while it is in cache and handed to the transform, which
+    writes its rows of out, so a caller never holds all the normals beside
+    their transformed copy.  The blocks are spread over the workers by
     ``spread``.  Each worker holds three blocks of scratch, the block and
     Box-Muller's two, which are freed before the transform runs so that its
     own scratch may take their room; a threaded worker's scratch is thus at
@@ -431,21 +422,19 @@ class RandomSource:
         Row k takes the next normals in order, k*p .. (k+1)*p - 1, and the
         counter advances by 2 * rows * p.  Each block of rows is made in
         C-ordered scratch and transform(z, out[rows], rows) writes it, so a
-        caller maps normals to draws while the block is in cache.
+        caller maps normals to draws while the block is in cache.  Every block
+        but the last has ``_SLICE // p`` rows; the last may have as few as one.
         """
         rows, p = out.shape
         step = max(1, _SLICE // p)
-        ramp = _ramp(min(rows, step + 1) * p, 2)
+        ramp = _ramp(min(rows, step) * p, 2)
         count = self._count
 
         def job(a, b):
             block = np.empty(len(ramp))
             r0, last = min(a * step, rows), min(b * step, rows)
             while r0 < last:
-                # a last block of one row joins the block before it, because
-                # numpy multiplies a one-row matrix with gemv, whose bits
-                # differ from gemm's
-                r1 = last if last - r0 <= step + 1 else r0 + step
+                r1 = min(last, r0 + step)
                 z = block[: (r1 - r0) * p]
                 _box_muller_into(z, self.seed, count + 2 * r0 * p, ramp[: len(z)])
                 transform(z.reshape(-1, p), out[r0:r1], slice(r0, r1))
@@ -462,7 +451,7 @@ class RandomSource:
         counter advances by 3m.
         """
         dv, accept = np.empty(m), np.empty(m, dtype=bool)
-        ramp = _ramp(min(m, _SLICE + 1), 1)  # a merged last block has _SLICE + 1 rows
+        ramp = _ramp(min(m, _SLICE), 1)
         first = self._count + 2 * m + 1
 
         def test(z, dst, rows):

@@ -34,6 +34,7 @@ from twinreg import (
     sample_posterior,
     summarize_posterior,
 )
+from twinreg.describe import median_of_sorted
 
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv"
@@ -488,7 +489,7 @@ class TestThreadedSummary:
             assert s.name == post.names[j]
             assert np.shares_memory(s.draws, post.beta)
             assert np.array_equal(s.draws, post.beta[:, j])
-            assert s.median == kernels.median_of_sorted(ranked)
+            assert s.median == median_of_sorted(ranked)
             assert (s.ci_low, s.ci_high, s.ci_midpoint) == (lo, hi, 0.5 * (lo + hi))
             assert (s.rope_low, s.rope_high) == rope
             assert s.pirope == pirope(ranked, (lo, hi), rope)
@@ -577,7 +578,7 @@ class TestSortedColumnOracles:
     @pytest.mark.parametrize("label, x", list(oracle_columns()))
     def test_quantiles_median_and_pirope(self, label, x):
         ranked = np.sort(x)
-        assert kernels.median_of_sorted(ranked) == float(np.median(x))
+        assert median_of_sorted(ranked) == float(np.median(x))
         sd = float(x.std())
         for level in self.LEVELS:
             alpha = (1.0 - level) / 2.0

@@ -479,9 +479,9 @@ class TestMarsagliaTsangRound:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_inverse_gammas_are_whole_array_rounds(self, shape, workers, monkeypatch):
         # 1000-candidate slices, a run of them per worker in every round.
-        # 50,001 ends in a one-row block merged into the one before it, so
-        # its uniforms need a ramp of _SLICE + 1.  At shape 1, 400,000
-        # candidates leave a second round of ~20,000, spread over 2 workers
+        # 50,001 ends in a block of one row, drawn and tested on its own like
+        # any other.  At shape 1, 400,000 candidates leave a second round of
+        # ~20,000, spread over 2 workers
         monkeypatch.setattr(kernels, "_SLICE", 1000)
         monkeypatch.setattr(kernels, "_WORKERS", workers)
         jobs = []
@@ -600,15 +600,20 @@ class TestRandomSource:
         assert peak <= z.nbytes + (3 * workers + 1.1) * kernels._SLICE * 8
 
     def test_normal_rows_are_the_normals_in_row_order(self, monkeypatch):
-        # 1000-normal slices: 142-row blocks of 7, and a last block of one row
+        # 1000-normal slices: 142-row blocks of 7, and a last block of one
+        # row, handed to the transform as it is
         monkeypatch.setattr(kernels, "_SLICE", 1000)
         monkeypatch.setattr(kernels, "_WORKERS", 2)
+        blocks = []
+
         def copy(z, dst, rows):
+            blocks.append(len(z))
             np.copyto(dst, z)
 
         out = np.empty((142 * 16 + 1, 7))
         a, b = kernels.RandomSource(5), kernels.RandomSource(5)
         a.normal_rows(out, copy)
+        assert sorted(blocks) == [1] + [142] * 16
         assert np.array_equal(out.reshape(-1), streams.normals(b, out.size))
         assert a._count == b._count == 2 * out.size
         # the rows are written through the transform, in any layout
@@ -656,7 +661,7 @@ class TestRandomSource:
         slices = -(-n // kernels._SLICE)
         assert len(started) == slices // kernels._SERIAL_SLICES - 1
         # three slices of scratch per worker and the shared ramp
-        ramp = (kernels._SLICE + 1) * 8
+        ramp = kernels._SLICE * 8
         assert peak <= (1 + 3 / kernels._SERIAL_SLICES) * z.nbytes + ramp
 
     def test_normal_moments(self):

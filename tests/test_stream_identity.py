@@ -113,7 +113,8 @@ FIXTURE = Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.
 
 # (seed, p, draws): (sha256 of beta's bytes, sha256 of sigma2's bytes, counter
 # after the call); the design is the first p columns of the fixture's, so p = 7
-# gives blocks whose normals do not fill a slice
+# gives blocks whose normals do not fill a slice, and 131,073 draws end in a
+# block of one row for p = 4 and 8
 SAMPLER_DIGESTS = {
     (7, 4, 1000): ("ead165e1b38d046687a02578076b2012763b6c76d85141d26a8cb71f0b1f48cb", "1d71aef88d107c6b8def0f5f6c7670aab3e9932190896a27f2d7d4550ca30473", 11000),
     (7, 4, 10000): ("9ea4686b0bed212686a2c1d41ac36da988252432f32355abac39e44ae3ec322d", "02410d2e94a3df6b5fcbf6c057fc7f57d5f68357e06a05af8edec189f05085f6", 110033),
@@ -179,9 +180,9 @@ def test_sampler_block_edges_do_not_change_the_draws(seed, p, draws, designs, mo
 
 @pytest.mark.parametrize("p", [9, 11, 12, 13])
 def test_wide_design_draws_do_not_depend_on_the_slice(p, monkeypatch):
-    # wider than the fixture, in blocks of 76 to 3,640 rows (_SLICE // p): the raw
-    # intercept is folded into mu_n and U_inv before any block is cut, so no bit
-    # of it depends on where a row falls in its block
+    # wider than the fixture, in blocks of 76 to 3,640 rows (_SLICE // p): each
+    # block's GEMM runs on whole groups of 8 rows, so no bit of a draw depends
+    # on where its row falls in its block
     rng = np.random.default_rng(p)
     n = 40
     X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
@@ -194,6 +195,23 @@ def test_wide_design_draws_do_not_depend_on_the_slice(p, monkeypatch):
         monkeypatch.setattr(kernels, "_SLICE", slice_)
         post = T.sample_posterior(d, fit, prior, 131073, kernels.RandomSource(p))
         digests.add(hashlib.sha256(post.beta.tobytes()).hexdigest())
+    assert len(digests) == 1
+
+
+@pytest.mark.parametrize("draws", [10000, 131073])
+@pytest.mark.parametrize("p", [4, 7, 8])
+def test_fixture_draws_do_not_depend_on_the_slice_or_workers(p, draws, designs, monkeypatch):
+    # pins no digest, so it holds under any BLAS kernel: blocks of 125 to
+    # 8,192 rows (_SLICE // p), and 131,073 draws end in a block of 1 to 73 rows
+    d = designs[p]
+    fit, prior = T.fit_ols(d), T.default_prior(d)
+    digests = set()
+    for slice_ in (1000, 4096, kernels._SLICE):
+        for workers in (1, 3):
+            monkeypatch.setattr(kernels, "_SLICE", slice_)
+            monkeypatch.setattr(kernels, "_WORKERS", workers)
+            post = T.sample_posterior(d, fit, prior, draws, kernels.RandomSource(p))
+            digests.add(hashlib.sha256(post.beta.tobytes()).hexdigest())
     assert len(digests) == 1
 
 
