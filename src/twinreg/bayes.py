@@ -83,7 +83,6 @@ class PosteriorDraws:
 @dataclass
 class PosteriorSummary:
     name: str
-    draws: np.ndarray
     median: float
     ci_low: float
     ci_high: float
@@ -311,8 +310,8 @@ def summarize_posterior(
     """Per-parameter median, credible interval, ROPE bounds, and PIROPE.
 
     Sorts each column of ``post.beta`` in place, so its rows are no longer
-    joint draws afterwards (copy ``post.beta`` first to keep them), and each
-    summary's ``draws`` is its sorted column.  ``kernels.spread`` gives each
+    joint draws afterwards (copy ``post.beta`` first to keep them); column j
+    then holds the sorted draws of summary j.  ``kernels.spread`` gives each
     worker thread a contiguous run of columns to sort, and the sorts
     allocate nothing column-sized.  Every number is then read on the calling
     thread from a ``_SortedColumn`` view of its column, which the interval
@@ -336,7 +335,6 @@ def summarize_posterior(
         out.append(
             PosteriorSummary(
                 name=name,
-                draws=post.beta[:, j],
                 median=median,
                 ci_low=lo,
                 ci_high=hi,

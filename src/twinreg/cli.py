@@ -166,9 +166,10 @@ class _Stages:
 
     @cached_property
     def bayes(self) -> list[bayes.PosteriorSummary]:
-        a, d = self.args, self.design
+        # the fit first, so an input it refuses gets the line ols and verdict print
+        a, d, fit = self.args, self.design, self.ols_fit
         prior = bayes.default_prior(d, a.coef_sd, a.sigma2_shape, a.sigma2_scale)
-        post = bayes.sample_posterior(d, self.ols_fit, prior, a.draws, RandomSource(a.seed))
+        post = bayes.sample_posterior(d, fit, prior, a.draws, RandomSource(a.seed))
         return bayes.summarize_posterior(post, self.frame.loss, level=a.ci_level, use_hdi=a.hdi)
 
     @cached_property

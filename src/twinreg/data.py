@@ -213,6 +213,9 @@ def apply_transforms(obs: Sequence[Observation]) -> ModelFrame:
     if bad is not None:  # the origin, dates[0], is checked first
         label = "origin" if bad == dates[0] else "date"
         raise DataError(f"{label} {bad.isoformat()} is not a quarter start")
+    repeated = next((a for a, b in zip(dates, dates[1:]) if a == b), None)
+    if repeated is not None:
+        raise DataError(f"duplicate date {repeated.isoformat()}")
     months = np.array([d.year * 12 + d.month - 1 for d in dates])  # since January of year 0
     frame = ModelFrame(
         dates=dates,

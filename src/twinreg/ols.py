@@ -56,7 +56,6 @@ class OlsFit:
     t_stats: np.ndarray
     p_values: np.ndarray
     residuals: np.ndarray
-    fitted: np.ndarray
     sigma2_hat: float
     r2: float
     adj_r2: float
@@ -144,8 +143,7 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
     r_inv = np.linalg.solve(R, np.eye(p))
     xtx_inv_diag = np.sum(r_inv * r_inv, axis=1)
     beta = _back_substitute(Q, R, y)
-    fitted = X @ beta
-    resid = y - fitted
+    resid = y - X @ beta
     rss = float(resid @ resid)
     sst = float(np.sum((y - y.mean()) ** 2))
     sigma2 = rss / df_resid
@@ -168,7 +166,6 @@ def fit_ols(d: DesignMatrix) -> OlsFit:
         t_stats=t,
         p_values=pvals,
         residuals=scaled_back(resid, y_exp, "residuals"),
-        fitted=scaled_back(fitted, y_exp, "fitted values"),
         sigma2_hat=float(scaled_back(sigma2, 2 * y_exp, "sigma2_hat")),
         r2=r2,
         adj_r2=adj_r2,

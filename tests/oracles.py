@@ -1,7 +1,8 @@
 """Reference values that share no code with twinreg or ``math.lgamma``.
 
 ``ln_gamma`` normalizes the hand-written densities the tail tests integrate,
-so an oracle and the tail under test never share a log-gamma term.  The
+``t_density`` and ``f_density``, so an oracle and the tail under test never
+share a log-gamma term.  The
 ``*_by_mpmath`` tails are 50-digit regularized incomplete betas and gammas at
 the exact double arguments the tail under test receives, and
 ``nig_posterior_by_mpmath`` is the conjugate update to 60 digits from the
@@ -30,6 +31,23 @@ def ln_gamma(x: float) -> float:
         return ln_gamma_by_recurrence(int(2.0 * x))
     with mpmath.workdps(50):
         return float(mpmath.loggamma(x))
+
+
+def t_density(u: float, df: float) -> float:
+    """The Student-t density with df degrees of freedom at u."""
+    c = math.exp(ln_gamma((df + 1) / 2) - ln_gamma(df / 2)) / math.sqrt(df * math.pi)
+    return c * (1.0 + u * u / df) ** (-(df + 1) / 2)
+
+
+def f_density(u: float, d1: float, d2: float) -> float:
+    """The F(d1, d2) density at u."""
+    c = math.exp(
+        ln_gamma((d1 + d2) / 2)
+        - ln_gamma(d1 / 2)
+        - ln_gamma(d2 / 2)
+        + (d1 / 2) * math.log(d1 / d2)
+    )
+    return c * u ** (d1 / 2 - 1) * (1.0 + d1 * u / d2) ** (-(d1 + d2) / 2)
 
 
 def _f_tail(f, d1, d2):

@@ -36,7 +36,7 @@ PIROPE_KEYS = ("pirope", "bayes_significant", "combined", "no_association")
 
 # the refusal of a returned value that does not fit a normal double
 OUTPUT_REFUSAL = re.compile(
-    r"data error: (sigma2_hat|residuals|fitted values|mean_resid|ROPE bound|sigma2 draws"
+    r"data error: (sigma2_hat|residuals|mean_resid|ROPE bound|sigma2 draws"
     r"|(estimate|std error|prior sd|prior mean|mean|sd|median|min|max"
     r"|ci_low|ci_high|ci_midpoint|draws) of '[^']+')"
     r" too (large|small): "

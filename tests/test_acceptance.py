@@ -20,7 +20,7 @@ from scipy import integrate
 
 import streams
 import twinreg as T
-from oracles import ln_gamma
+from oracles import f_density, ln_gamma, t_density
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "data" / "loanloss_quarterly.csv"
@@ -152,18 +152,6 @@ def test_criterion_4_linear_algebra_oracles(acceptance_log):
            f"beta={worst_beta:.2e} F={worst_f:.2e} vif={worst_vif:.2e}")
 
 
-def _t_density(df):
-    c = math.exp(ln_gamma((df + 1) / 2) - ln_gamma(df / 2)) / math.sqrt(df * math.pi)
-    return lambda u: c * (1.0 + u * u / df) ** (-(df + 1) / 2)
-
-
-def _f_density(d1, d2):
-    c = math.exp(
-        ln_gamma((d1 + d2) / 2) - ln_gamma(d1 / 2) - ln_gamma(d2 / 2)
-    ) * (d1 / d2) ** (d1 / 2)
-    return lambda u: c * u ** (d1 / 2 - 1) * (1.0 + d1 * u / d2) ** (-(d1 + d2) / 2)
-
-
 def _chi2_density(df):
     c = 1.0 / (2 ** (df / 2) * math.exp(ln_gamma(df / 2)))
     return lambda u: c * u ** (df / 2 - 1) * math.exp(-u / 2)
@@ -176,15 +164,15 @@ def test_criterion_5_special_function_oracles(acceptance_log):
     worst = 0.0
     points = 0
     for df in (3, 10, 29):
-        dens = _t_density(df)
         for x in (0.5, 1.5, 2.5, 4.0, 6.0, 15.2):
-            tail, _ = integrate.quad(dens, x, np.inf, epsabs=1e-14, epsrel=1e-12)
+            tail, _ = integrate.quad(t_density, x, np.inf, args=(df,), epsabs=1e-14, epsrel=1e-12)
             worst = max(worst, abs(T.student_t_sf2(x, df) - 2.0 * tail))
             points += 1
     for d1, d2 in ((1, 10), (3, 27), (9, 27), (5, 40)):
-        dens = _f_density(d1, d2)
         for x in (0.5, 1.5, 3.0, 8.0):
-            tail, _ = integrate.quad(dens, x, np.inf, epsabs=1e-14, epsrel=1e-12)
+            tail, _ = integrate.quad(
+                f_density, x, np.inf, args=(d1, d2), epsabs=1e-14, epsrel=1e-12
+            )
             worst = max(worst, abs(T.f_sf(x, d1, d2) - tail))
             points += 1
     for df in (1, 2, 5, 10):

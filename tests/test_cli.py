@@ -323,22 +323,31 @@ class TestFailureExitCodes:
         assert code == 1
         assert err.startswith("parse error:")
 
+    # a constant column is collinear with the intercept: a sex ratio of 0.97,
+    # whose computed sd is 2e-16 as its mean does not round back to 0.97, or
+    # an FFR of 0.25, whose sd is exactly 0, so the prior refuses it too;
+    # every command that fits refuses both before it builds a prior
     def test_singular_design(self, run, tmp_path):
-        rows = []
         dates = [
             "2011-04-01", "2011-07-01", "2011-10-01", "2012-01-01", "2012-04-01",
             "2012-07-01", "2012-10-01", "2013-01-01", "2013-04-01", "2013-07-01",
             "2013-10-01", "2014-01-01",
         ]
-        for i, d in enumerate(dates):
-            # constant sex ratio makes that column collinear with the intercept
-            rows.append(f"{d},{0.4 + 0.07 * (i % 5):.3f},{300000000 + 91 * i**2},"
-                        f"0.970000,{3.1 + 0.13 * (i % 7):.3f},{0.1 + 0.03 * i:.3f},"
-                        f"{3000000 - 1013 * i**2}")
-        code, _, err = run("ols", "--input", small_csv(tmp_path, rows))
-        assert code == 1
-        assert err.startswith("singular design:")
-        assert "Ratio" in err
+        for name in ("Ratio", "FFR"):
+            rows = []
+            for i, d in enumerate(dates):
+                ratio = 0.97 if name == "Ratio" else 0.96 + 0.004 * (i % 4)
+                ffr = 0.25 if name == "FFR" else 0.1 + 0.03 * i
+                rows.append(f"{d},{0.4 + 0.07 * (i % 5):.3f},{300000000 + 91 * i**2},"
+                            f"{ratio:.6f},{3.1 + 0.13 * (i % 7):.3f},{ffr:.3f},"
+                            f"{3000000 - 1013 * i**2}")
+            path = small_csv(tmp_path, rows, name=f"{name}.csv")
+            for command in ("ols", "bayes", "verdict", "report"):
+                code, out, err = run(command, "--input", path)
+                assert (code, out) == (1, b""), (name, command)
+                assert len(err.splitlines()) == 1, err
+                assert err.startswith("singular design:"), (command, err)
+                assert repr(name) in err
 
     def test_too_few_rows_is_data_error(self, run, tmp_path):
         rows = [
@@ -643,7 +652,7 @@ class TestKeptStages:
         assert isinstance(diag, ols.Diagnostics)
         assert not any(isinstance(v, np.ndarray) for v in vars(diag).values())
         arrays = [v for r in (design, fit) for v in vars(r).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 2 + 10
+        assert len(arrays) == 2 + 9
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0

@@ -238,6 +238,15 @@ class TestApplyTransforms:
         assert np.array_equal(a.loss, b.loss)
         assert a.dates == b.dates
 
+    # parse_csv refuses a repeated date with its two lines; Observations
+    # built another way are refused here, by the date
+    def test_repeated_date_is_named(self):
+        obs = parse_csv(make_csv(row("2011-04-01"), row("2011-07-01"), row("2011-10-01")))
+        with pytest.raises(DataError, match="^duplicate date 2011-04-01$"):
+            apply_transforms(obs + obs[:1])
+        with pytest.raises(DataError, match="^duplicate date 2011-10-01$"):
+            apply_transforms(obs[2:] + obs)
+
     def test_regressor_columns_order(self):
         frame = apply_transforms(parse_csv(make_csv(row("2011-04-01"), row("2011-07-01"))))
         cols = frame.regressor_columns()

@@ -23,7 +23,15 @@ import pytest
 from scipy import integrate
 
 import streams
-from oracles import chi2_sf_by_mpmath, f_sf_by_mpmath, ln_gamma, relative_error, t_sf2_by_mpmath
+from oracles import (
+    chi2_sf_by_mpmath,
+    f_density,
+    f_sf_by_mpmath,
+    ln_gamma,
+    relative_error,
+    t_density,
+    t_sf2_by_mpmath,
+)
 from twinreg import data, describe, kernels, ols
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv"
@@ -35,21 +43,6 @@ def inc_beta_binomial_sum(a: int, b: int, x: float) -> float:
     return sum(
         math.comb(n, j) * x**j * (1.0 - x) ** (n - j) for j in range(a, n + 1)
     )
-
-
-def t_density(u: float, df: float) -> float:
-    c = math.exp(ln_gamma((df + 1) / 2) - ln_gamma(df / 2)) / math.sqrt(df * math.pi)
-    return c * (1.0 + u * u / df) ** (-(df + 1) / 2)
-
-
-def f_density(u: float, d1: float, d2: float) -> float:
-    c = math.exp(
-        ln_gamma((d1 + d2) / 2)
-        - ln_gamma(d1 / 2)
-        - ln_gamma(d2 / 2)
-        + (d1 / 2) * math.log(d1 / d2)
-    )
-    return c * u ** (d1 / 2 - 1) * (1.0 + d1 * u / d2) ** (-(d1 + d2) / 2)
 
 
 def gamma_q_series(a: float, x: float) -> float:

@@ -32,7 +32,6 @@ def crafted_fit(names, p_values):
         t_stats=z + 2.0,
         p_values=np.asarray(p_values, dtype=float),
         residuals=np.zeros(10),
-        fitted=np.zeros(10),
         sigma2_hat=0.25,
         r2=0.9,
         adj_r2=0.88,
@@ -48,7 +47,6 @@ def crafted_fit(names, p_values):
 def crafted_summary(name, pirope, median=1.0):
     return PosteriorSummary(
         name=name,
-        draws=np.zeros(100),
         median=median,
         ci_low=median - 1.0,
         ci_high=median + 1.0,
