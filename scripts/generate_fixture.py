@@ -205,8 +205,8 @@ def measure(text: str) -> dict:
         "p_year": anova_year.p_value,
         "f_year": anova_year.f_stat,
         "ss_fit": ss_fit,
-        "mean_loss": float(frame.loss.mean()),
-        "sd_loss": float(frame.loss.std(ddof=1)),
+        "mean_loss": float(np.mean(frame.loss)),
+        "sd_loss": float(np.std(frame.loss, ddof=1)),
     }
 
 

@@ -7,10 +7,13 @@ import datetime
 import math
 import sys
 from functools import cache, cached_property, lru_cache
+from typing import TYPE_CHECKING
 
-from . import bayes, data, describe, ols, report
+from . import data, describe, report
 from .errors import ConsistencyError, ConvergenceError, DataError, ParseError, SingularDesignError
-from .kernels import RandomSource
+
+if TYPE_CHECKING:
+    from . import bayes, ols
 
 # stderr prefix per failure, most specific type first; each exits with 1
 ERROR_PREFIXES = {
@@ -143,14 +146,17 @@ class _Stages:
 
     @property
     def design(self) -> ols.DesignMatrix:
+        from . import ols  # numpy's stages load on first use: describe and anova skip them
         return self._once("design", ols.build_design, self.frame)
 
     @property
     def ols_fit(self) -> ols.OlsFit:
+        from . import ols
         return self._once("ols_fit", ols.fit_ols, self.design)
 
     @property
     def ols_diag(self) -> ols.Diagnostics:
+        from . import ols
         c = self.args.vif_cutoff  # keyed by its hex, which tells -0 from 0 as the advisory does
         return self._once(("ols_diag", c.hex()), ols.diagnostics, self.design, self.ols_fit, c)
 
@@ -166,6 +172,8 @@ class _Stages:
 
     @cached_property
     def bayes(self) -> list[bayes.PosteriorSummary]:
+        from . import bayes
+        from .kernels import RandomSource
         # the fit first, so an input it refuses gets the line ols and verdict print
         a, d, fit = self.args, self.design, self.ols_fit
         prior = bayes.default_prior(d, a.coef_sd, a.sigma2_shape, a.sigma2_scale)

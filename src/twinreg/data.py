@@ -4,14 +4,14 @@ The canonical input is a quarterly CSV with header
 ``date,loss,total_pop,ratio,aplir,ffr,av_claims`` (any column order).  Rows
 with any empty field carry no usable information and are dropped.  Remaining
 rows are validated in one pass, sorted by date, and turned column by column
-(one numpy call each) into a ModelFrame whose columns feed both regression
-engines:
+into a ModelFrame of tuples, of Python floats and ints, which are safe to
+share.  Its columns feed both regression engines:
 
 * ``adj_pop``    = total_pop / 1e8
 * ``adj_claims`` = av_claims / 1e6
 * ``exp_claims`` = exp(adj_claims), by ``math.exp`` per value
 * ``month_index``, ``year_index``: quarters and years since the first
-  observed date, plus one, from one integer expression over all rows.
+  observed date, plus one, from one integer expression per row.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ import datetime
 import io
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import DataError, ParseError
+from .floats import scale_exponent, scaled_back
 
 QUARTER_MONTHS = (1, 4, 7, 10)
 
@@ -53,24 +53,24 @@ class ModelFrame:
     """Transformed design data: response plus the seven regressors."""
 
     dates: tuple[datetime.date, ...]
-    month_index: np.ndarray
-    year_index: np.ndarray
-    adj_pop: np.ndarray
-    ratio: np.ndarray
-    aplir: np.ndarray
-    ffr: np.ndarray
-    exp_claims: np.ndarray
-    loss: np.ndarray
+    month_index: tuple[int, ...]
+    year_index: tuple[int, ...]
+    adj_pop: tuple[float, ...]
+    ratio: tuple[float, ...]
+    aplir: tuple[float, ...]
+    ffr: tuple[float, ...]
+    exp_claims: tuple[float, ...]
+    loss: tuple[float, ...]
     names: tuple[str, ...] = field(default=REGRESSOR_NAMES)
 
     def __len__(self) -> int:
         return len(self.loss)
 
-    def regressor_columns(self) -> list[np.ndarray]:
+    def regressor_columns(self) -> list[tuple[float, ...]]:
         """Columns in model order (Month, Year, AdjPop, Ratio, APLIR, FFR, ExpClaims)."""
         return [
-            self.month_index.astype(float),
-            self.year_index.astype(float),
+            tuple(map(float, self.month_index)),
+            tuple(map(float, self.year_index)),
             self.adj_pop,
             self.ratio,
             self.aplir,
@@ -216,27 +216,18 @@ def apply_transforms(obs: Sequence[Observation]) -> ModelFrame:
     repeated = next((a for a, b in zip(dates, dates[1:]) if a == b), None)
     if repeated is not None:
         raise DataError(f"duplicate date {repeated.isoformat()}")
-    months = np.array([d.year * 12 + d.month - 1 for d in dates])  # since January of year 0
-    frame = ModelFrame(
+    months = [d.year * 12 + d.month - 1 for d in dates]  # since January of year 0
+    return ModelFrame(
         dates=dates,
-        month_index=(months - months[0]) // 3 + 1,
-        year_index=months // 12 - months[0] // 12 + 1,
-        adj_pop=np.array(total_pop) / 1e8,
-        ratio=np.array(ratio),
-        aplir=np.array(aplir),
-        ffr=np.array(ffr),
-        exp_claims=np.array([_exp_claim(c, d) for c, d in zip(av_claims, dates)]),
-        loss=np.array(loss),
+        month_index=tuple((m - months[0]) // 3 + 1 for m in months),
+        year_index=tuple(m // 12 - months[0] // 12 + 1 for m in months),
+        adj_pop=tuple(float(v) / 1e8 for v in total_pop),
+        ratio=tuple(map(float, ratio)),
+        aplir=tuple(map(float, aplir)),
+        ffr=tuple(map(float, ffr)),
+        exp_claims=tuple(_exp_claim(c, d) for c, d in zip(av_claims, dates)),
+        loss=tuple(map(float, loss)),
     )
-    return read_only(frame)  # one frame may be shared
-
-
-def read_only(result):
-    """``result`` with every array among its fields made read-only, so it can be shared."""
-    for value in vars(result).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return result
 
 
 def _prior_month(quarter_start: datetime.date) -> tuple[int, int]:
@@ -249,7 +240,8 @@ def aggregate_prior_month(
     daily: Iterable[tuple[datetime.date, float | None]],
     quarter_start: datetime.date,
 ) -> float:
-    """Mean of the non-empty values dated in the month before quarter_start."""
+    """Mean of the non-empty values dated in the month before quarter_start, formed
+    at their power-of-two scale and returned through the output rule."""
     if not _is_quarter_start(quarter_start):
         raise DataError(
             f"{quarter_start.isoformat()} is not a quarter start ({_QUARTER_START_RULE})"
@@ -264,13 +256,11 @@ def aggregate_prior_month(
         raise DataError(
             f"no usable values in the month preceding {quarter_start.isoformat()}"
         )
-    mean = sum(vals) / len(vals)
-    if not math.isfinite(mean):
-        raise DataError(
-            "values too large: their sum in the month preceding "
-            f"{quarter_start.isoformat()} overflows a double"
-        )
-    return mean
+    exp = scale_exponent(vals)
+    # in input order; not sum(), which adds floats with compensation from Python 3.12 on
+    total = reduce(add, (math.ldexp(v, -exp) for v in vals), 0.0)
+    what = f"mean of the month preceding {quarter_start.isoformat()}"
+    return scaled_back(total / len(vals), exp, what)
 
 
 def parse_daily_csv(data: bytes | str | IO[bytes]) -> list[tuple[datetime.date, float | None]]:

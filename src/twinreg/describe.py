@@ -1,21 +1,22 @@
-"""Descriptive statistics and one-way ANOVA.
+"""Descriptive statistics and one-way ANOVA, in Python floats without numpy.
 
-Both compute at the exact power-of-two scale ``kernels.scale_exponent`` gives
-each column; the summaries are scaled back through the output rule
-``kernels.scaled_back``, and F does not depend on the scale.
+Both compute at the exact power-of-two scale ``floats.scale_exponent`` gives
+each column and add with ``floats.pairwise_sum``, in numpy's order, so every
+value has the bits numpy's mean, std and sort give, except that ``sorted``
+keeps 0 and -0 in input order; the summaries are scaled back through the
+output rule ``floats.scaled_back``, and F does not depend on the scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Hashable, Sequence
-
-import numpy as np
 
 from .data import ModelFrame
 from .errors import DataError
-from .kernels import f_sf, scale_exponent, scaled_back
+from .floats import f_sf, pairwise_sum, scale_exponent, scaled_back
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,10 @@ class AnovaResult:
     p_value: float
 
 
-def median_of_sorted(x: np.ndarray):
-    """Median along the last axis of ascending rows, bit-identical to ``np.median``."""
-    n = x.shape[-1]
-    if n % 2:
-        return x[..., n // 2]
-    return (x[..., n // 2 - 1] + x[..., n // 2]) / 2
+def median_of_sorted(x: Sequence[float]) -> float:
+    """Median of an ascending sequence, bit-identical to ``np.median``."""
+    n = len(x)
+    return x[n // 2] if n % 2 else (x[n // 2 - 1] + x[n // 2]) / 2
 
 
 def summarize(frame: ModelFrame) -> list[SummaryRow]:
@@ -52,18 +51,19 @@ def summarize(frame: ModelFrame) -> list[SummaryRow]:
     n = len(frame)
     if n == 0:
         raise DataError("cannot summarize an empty frame")
-    names = (*frame.names, "Loss")
-    cols = np.stack([*frame.regressor_columns(), frame.loss])
-    exp = scale_exponent(cols, axis=1)[:, None]
-    cols = np.ldexp(cols, -exp)
-    ranked = np.sort(cols, axis=1)
-    stats = np.column_stack([  # mean, sd, median, min, max
-        cols.mean(axis=1), cols.std(axis=1, ddof=1) if n > 1 else np.zeros(len(cols)),
-        median_of_sorted(ranked), ranked[:, 0], ranked[:, -1],
-    ])
-    what = [[f"{s} of {name!r}" for s in ("mean", "sd", "median", "min", "max")] for name in names]
-    rows = scaled_back(stats, exp, what)
-    return [SummaryRow(name, *map(float, row)) for name, row in zip(names, rows)]
+    rows = []
+    for name, col in zip((*frame.names, "Loss"), [*frame.regressor_columns(), frame.loss]):
+        exp = scale_exponent(col)
+        x = [math.ldexp(v, -exp) for v in col]
+        mean = pairwise_sum(x) / n
+        # as np.std(ddof=1) forms it: np.square is d * d, where ** is the C library's pow
+        squares = pairwise_sum([(v - mean) * (v - mean) for v in x])
+        sd = math.sqrt(squares / (n - 1)) if n > 1 else 0.0
+        ranked = sorted(x)
+        stats = (mean, sd, median_of_sorted(ranked), ranked[0], ranked[-1])
+        what = (f"{s} of {name!r}" for s in ("mean", "sd", "median", "min", "max"))
+        rows.append(SummaryRow(name, *map(scaled_back, stats, repeat(exp), what)))
+    return rows
 
 
 def one_way_anova(
@@ -72,46 +72,34 @@ def one_way_anova(
     label: str = "group",
 ) -> AnovaResult:
     """F = (SSB/(k-1)) / (SSW/(n-k)); upper-tail p via the F distribution."""
-    y = np.asarray(values, dtype=float)
+    y = list(map(float, values))
     if len(y) != len(groups):
         raise DataError("values and groups must have equal length")
-    code_of: dict[Hashable, int] = {}  # codes follow first appearance
-    codes = np.array([code_of.setdefault(g, len(code_of)) for g in groups], dtype=np.intp)
-    k, n = len(code_of), len(y)
+    k, n = len(set(groups)), len(y)
     if k < 2:
         raise DataError(f"ANOVA needs at least 2 groups, got {k}")
     if n <= k:
-        raise DataError(
-            f"ANOVA needs more observations than groups (n={n}, k={k})"
-        )
-    y = np.ldexp(y, -scale_exponent(y))  # F does not depend on the scale
-    ssb = 0.0
-    ssw = 0.0
-    # each group as one contiguous slice, its values in input order
-    ys = y[np.argsort(codes, kind="stable")]
-    ends = np.cumsum(np.bincount(codes)).tolist()
-    grand = y.mean()
-    for start, end in zip([0, *ends], ends):
-        sub = ys[start:end]
-        mean = np.add.reduce(sub) / len(sub)
+        raise DataError(f"ANOVA needs more observations than groups (n={n}, k={k})")
+    exp = scale_exponent(y)  # F does not depend on the scale
+    y = [math.ldexp(v, -exp) for v in y]
+    by_group: dict[Hashable, list[float]] = {}  # in order of first appearance
+    for v, g in zip(y, groups):
+        by_group.setdefault(g, []).append(v)  # each group's values in input order
+    grand = pairwise_sum(y) / n
+    ssb = ssw = 0.0
+    for sub in by_group.values():
+        mean = pairwise_sum(sub) / len(sub)
+        # ** is the C library's pow, as numpy's scalar ** is, and can differ from d * d
+        # in the last bit; |d| < 2 here, so it cannot overflow
         ssb += len(sub) * (mean - grand) ** 2
-        ssw += float(np.add.reduce(np.square(sub - mean)))
-    msb = ssb / (k - 1)
-    msw = ssw / (n - k)
+        ssw += pairwise_sum([(v - mean) * (v - mean) for v in sub])
+    msb, msw = ssb / (k - 1), ssw / (n - k)
     if msw == 0.0:
         f = 0.0 if msb == 0.0 else math.inf
     else:
-        with np.errstate(over="ignore"):  # inf: the groups differ beyond a double's range
-            f = msb / msw
-    return AnovaResult(
-        group_label=label,
-        k=k,
-        n=n,
-        f_stat=f,
-        df_between=k - 1,
-        df_within=n - k,
-        p_value=f_sf(f, k - 1, n - k),
-    )
+        f = msb / msw  # inf: the groups differ beyond a double's range
+    return AnovaResult(group_label=label, k=k, n=n, f_stat=f, df_between=k - 1,
+                       df_within=n - k, p_value=f_sf(f, k - 1, n - k))
 
 
 def anova_by_month(frame: ModelFrame) -> AnovaResult:

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ModelFrame, read_only
+from .data import ModelFrame
 from .errors import DataError, SingularDesignError
-from .kernels import chi2_sf, scale_exponent, scaled_back, student_t_sf2
+from .floats import chi2_sf, student_t_sf2
+from .kernels import scale_exponent, scaled_back
 
 INTERCEPT_NAME = "(Intercept)"
 
@@ -93,9 +94,16 @@ def build_design(frame: ModelFrame) -> DesignMatrix:
             f"insufficient data: need more rows than parameters (n={n}, p={p})"
         )
     X = np.column_stack([np.ones(n)] + cols)
-    return read_only(
-        DesignMatrix(X=X, y=frame.loss.astype(float), names=(INTERCEPT_NAME,) + frame.names)
-    )
+    y = np.array(frame.loss, dtype=float)
+    return read_only(DesignMatrix(X=X, y=y, names=(INTERCEPT_NAME,) + frame.names))
+
+
+def read_only(result):
+    """``result`` with every array among its fields made read-only, so it can be shared."""
+    for value in vars(result).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return result
 
 
 def _factor(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:

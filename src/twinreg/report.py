@@ -11,12 +11,14 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .bayes import PosteriorSummary
 from .describe import AnovaResult, SummaryRow
 from .errors import ConsistencyError
-from .ols import Diagnostics, OlsFit
+
+if TYPE_CHECKING:  # numpy's stages: describe and anova render without them
+    from .bayes import PosteriorSummary
+    from .ols import Diagnostics, OlsFit
 
 COMBINED_SIGNIFICANT = "significant"
 COMBINED_NOT = "not-significant"

@@ -7,12 +7,25 @@ share a log-gamma term.  The
 the exact double arguments the tail under test receives, and
 ``nig_posterior_by_mpmath`` is the conjugate update to 60 digits from the
 doubles the sampler reads.
+
+``numpy_summarize`` and ``numpy_one_way_anova`` are the numpy forms of
+``describe.summarize`` and ``describe.one_way_anova`` that the Python-float
+forms replaced, copied unchanged under new names: the bit-for-bit oracle
+for those.  They share the array output rule and ``f_sf`` with twinreg.
 """
 
 import math
 from types import SimpleNamespace
+from typing import Hashable, Sequence
 
 import mpmath
+import numpy as np
+
+from twinreg.data import ModelFrame
+from twinreg.describe import AnovaResult, SummaryRow
+from twinreg.errors import DataError
+from twinreg.floats import f_sf
+from twinreg.kernels import scale_exponent, scaled_back
 
 
 def ln_gamma_by_recurrence(n_halves: int) -> float:
@@ -122,3 +135,78 @@ def nig_posterior_by_mpmath(d, fit, prior):
         loc = [mpmath.ldexp((r * mu_n)[0], e) for r, e in zip(rows, coef_exp)]
         scale = [mpmath.ldexp(mpmath.sqrt((r * cov * r.T)[0]), e) for r, e in zip(rows, coef_exp)]
         return SimpleNamespace(a_n=a_n, b_n=b_n, loc=loc, scale=scale)
+
+
+def numpy_median_of_sorted(x: np.ndarray):
+    """Median along the last axis of ascending rows, bit-identical to ``np.median``."""
+    n = x.shape[-1]
+    if n % 2:
+        return x[..., n // 2]
+    return (x[..., n // 2 - 1] + x[..., n // 2]) / 2
+
+
+def numpy_summarize(frame: ModelFrame) -> list[SummaryRow]:
+    """One SummaryRow per variable; sd uses the n-1 denominator."""
+    n = len(frame)
+    if n == 0:
+        raise DataError("cannot summarize an empty frame")
+    names = (*frame.names, "Loss")
+    cols = np.stack([*frame.regressor_columns(), frame.loss])
+    exp = scale_exponent(cols, axis=1)[:, None]
+    cols = np.ldexp(cols, -exp)
+    ranked = np.sort(cols, axis=1)
+    stats = np.column_stack([  # mean, sd, median, min, max
+        cols.mean(axis=1), cols.std(axis=1, ddof=1) if n > 1 else np.zeros(len(cols)),
+        numpy_median_of_sorted(ranked), ranked[:, 0], ranked[:, -1],
+    ])
+    what = [[f"{s} of {name!r}" for s in ("mean", "sd", "median", "min", "max")] for name in names]
+    rows = scaled_back(stats, exp, what)
+    return [SummaryRow(name, *map(float, row)) for name, row in zip(names, rows)]
+
+
+def numpy_one_way_anova(
+    values: Sequence[float],
+    groups: Sequence[Hashable],
+    label: str = "group",
+) -> AnovaResult:
+    """F = (SSB/(k-1)) / (SSW/(n-k)); upper-tail p via the F distribution."""
+    y = np.asarray(values, dtype=float)
+    if len(y) != len(groups):
+        raise DataError("values and groups must have equal length")
+    code_of: dict[Hashable, int] = {}  # codes follow first appearance
+    codes = np.array([code_of.setdefault(g, len(code_of)) for g in groups], dtype=np.intp)
+    k, n = len(code_of), len(y)
+    if k < 2:
+        raise DataError(f"ANOVA needs at least 2 groups, got {k}")
+    if n <= k:
+        raise DataError(
+            f"ANOVA needs more observations than groups (n={n}, k={k})"
+        )
+    y = np.ldexp(y, -scale_exponent(y))  # F does not depend on the scale
+    ssb = 0.0
+    ssw = 0.0
+    # each group as one contiguous slice, its values in input order
+    ys = y[np.argsort(codes, kind="stable")]
+    ends = np.cumsum(np.bincount(codes)).tolist()
+    grand = y.mean()
+    for start, end in zip([0, *ends], ends):
+        sub = ys[start:end]
+        mean = np.add.reduce(sub) / len(sub)
+        ssb += len(sub) * (mean - grand) ** 2
+        ssw += float(np.add.reduce(np.square(sub - mean)))
+    msb = ssb / (k - 1)
+    msw = ssw / (n - k)
+    if msw == 0.0:
+        f = 0.0 if msb == 0.0 else math.inf
+    else:
+        with np.errstate(over="ignore"):  # inf: the groups differ beyond a double's range
+            f = msb / msw
+    return AnovaResult(
+        group_label=label,
+        k=k,
+        n=n,
+        f_stat=f,
+        df_between=k - 1,
+        df_within=n - k,
+        p_value=f_sf(f, k - 1, n - k),
+    )

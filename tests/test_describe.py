@@ -1,9 +1,12 @@
 """Tests for the summary table and the one-way ANOVA.
 
 ANOVA expectations are recomputed brute-force from group means inside each
-test, with p-values cross-checked against scipy's F distribution.
+test, with p-values cross-checked against scipy's F distribution.  The
+Python-float stages are also swept, bit for bit, against the numpy forms they
+replaced (``oracles.numpy_summarize`` and ``oracles.numpy_one_way_anova``).
 """
 
+import datetime
 import math
 import warnings
 
@@ -11,11 +14,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import numpy_one_way_anova, numpy_summarize
 from twinreg import (
     DataError,
+    ModelFrame,
+    Observation,
     anova_by_month,
     anova_by_year,
     apply_transforms,
+    floats,
     one_way_anova,
     parse_csv,
     summarize,
@@ -214,3 +221,117 @@ class TestFrameGroupings:
         assert res.group_label == "year"
         assert res.k == 2
         assert res.f_stat == masked_anova_f(frame.loss, [d.year for d in frame.dates])
+
+
+def outcome(stage, *args):
+    """stage(*args) as the hex of each float field of each result, or the error's text."""
+    try:
+        result = stage(*args)
+    except DataError as exc:
+        return str(exc)
+    rows = result if isinstance(result, list) else [result]
+    return [[v.hex() if isinstance(v, float) else v for v in vars(r).values()] for r in rows]
+
+
+def frame_of(columns, loss):
+    """A frame with five float regressor columns and the two time indices of len(loss) rows."""
+    n = len(loss)
+    years = tuple(i // 4 + 1 for i in range(n))
+    return ModelFrame((), tuple(range(1, n + 1)), years, *columns, loss)
+
+
+def random_column(rng, n, powers=(-1000, 1000)):
+    """n normal draws about a random centre, times 2**k for a random k in powers,
+    a third of them with repeated values; a zero is +0."""
+    k = int(rng.integers(powers[0], powers[1] + 1))
+    x = np.ldexp(rng.standard_normal(n) + rng.uniform(-4, 4), k)
+    if rng.integers(3) == 0:
+        x = rng.choice(x[: max(1, n // 4)], n)
+    return tuple(v + 0.0 for v in x.tolist())
+
+
+class TestNumpyOracleSweep:
+    """summarize and one_way_anova give the numpy forms' bits, or their refusal lines.
+
+    Mixed 0 and -0 in one column are left out: see TestSignedZeros.
+    """
+
+    @pytest.mark.parametrize("block", range(10))
+    def test_random_frames(self, block):
+        rng = np.random.default_rng(1000 + block)
+        for _ in range(50):
+            n = int(rng.integers(2, 401))
+            frame = frame_of([random_column(rng, n) for _ in range(5)], random_column(rng, n))
+            assert outcome(summarize, frame) == outcome(numpy_summarize, frame)
+            if n < 3:
+                continue
+            k = int(rng.integers(2, n))  # 2 .. n - 1 groups, each one at least once
+            codes = rng.permutation(np.r_[np.arange(k), rng.integers(0, k, n - k)])
+            groups = [f"g{i}" for i in codes]
+            values = frame.loss if rng.integers(2) else np.array(frame.loss)
+            want = outcome(numpy_one_way_anova, frame.loss, groups)
+            assert outcome(one_way_anova, values, groups) == want
+
+    # scales where the output rule refuses some summaries, and ANOVA values
+    # that are subnormal or zero
+    def test_frames_at_the_ends_of_the_doubles(self):
+        rng = np.random.default_rng(7)
+        refused = 0
+        for i in range(60):
+            n = int(rng.integers(3, 60))
+            powers = (1010, 1019) if i % 2 else (-1080, -1010)
+            frame = frame_of([random_column(rng, n, powers) for _ in range(5)],
+                             random_column(rng, n, powers))
+            want = outcome(numpy_summarize, frame)
+            assert outcome(summarize, frame) == want
+            refused += isinstance(want, str)
+            groups = [j % 2 for j in range(n)]
+            assert outcome(one_way_anova, frame.loss, groups) == outcome(
+                numpy_one_way_anova, frame.loss, groups
+            )
+        assert 0 < refused < 60
+
+    @pytest.mark.parametrize("years", [2500, 9999])  # 10,000 and 39,996 rows
+    def test_long_frames(self, years):
+        rng = np.random.default_rng(years)
+        dates = [datetime.date(y, m, 1) for y in range(1, years + 1) for m in (1, 4, 7, 10)]
+        n = len(dates)
+        draws = zip(rng.uniform(0, 3, n), rng.uniform(1e8, 4e8, n), rng.uniform(0.9, 1.1, n),
+                    rng.uniform(2, 6, n), rng.uniform(0, 3, n), rng.uniform(0, 7e8, n))
+        frame = apply_transforms([Observation(d, *map(float, r)) for d, r in zip(dates, draws)])
+        assert len(frame) == 4 * years
+        assert outcome(summarize, frame) == outcome(numpy_summarize, frame)
+        for stage, key in ((anova_by_month, "month"), (anova_by_year, "year")):
+            groups = [getattr(d, key) for d in frame.dates]
+            assert outcome(stage, frame) == outcome(numpy_one_way_anova, frame.loss, groups, key)
+
+    def test_pairwise_sum_adds_as_numpy_reduce(self):
+        rng = np.random.default_rng(5)
+        for n in range(1101):
+            x = rng.standard_normal(n) * np.exp2(rng.integers(-30, 31, n))
+            assert floats.pairwise_sum(x.tolist()).hex() == float(np.add.reduce(x)).hex(), n
+        for n in (1, 7, 8, 9, 128, 129, 1100):
+            want = float(np.add.reduce(np.full(n, -0.0))).hex()
+            assert floats.pairwise_sum([-0.0] * n).hex() == want == "0x0.0p+0", n
+
+
+class TestSignedZeros:
+    """sorted() keeps 0 and -0 in input order; numpy's sort leaves their order to
+    its SIMD kernel.  Only min, max and median can show the difference."""
+
+    @pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+    def test_zeros_keep_their_input_order(self, first, second):
+        columns = [
+            (1.0, first, 2.0, second, 3.0),  # AdjPop: min is the first zero
+            (-1.0, first, -2.0, second, -3.0),  # Ratio: max is the last zero
+            (first, second, 1.0, first, second),  # APLIR: median is the third zero
+            (1.0, 2.0, 3.0, 4.0, 5.0),
+            (1.0, 2.0, 3.0, 4.0, 5.0),
+        ]
+        frame = frame_of(columns, (first, 5.0, second, 1.0, 2.0))  # Loss: min is first
+        rows = summarize(frame)
+        sign = [math.copysign(1.0, v) for v in (rows[2].min, rows[3].max, rows[4].median)]
+        assert sign == [math.copysign(1.0, v) for v in (first, second, first)]
+        assert math.copysign(1.0, rows[7].min) == math.copysign(1.0, first)
+        for got, ref in zip(rows, numpy_summarize(frame)):  # mean and sd do not sort
+            assert (got.mean.hex(), got.sd.hex()) == (float(ref.mean).hex(), float(ref.sd).hex())

@@ -1,4 +1,4 @@
-"""Tests for the special-function and random-source kernels.
+"""Tests for the distribution tails (``floats``) and the random-source kernels.
 
 Expected values come from sources independent of the implementation under
 test: closed forms, binomial sums for integer-parameter incomplete betas,
@@ -32,7 +32,7 @@ from oracles import (
     t_density,
     t_sf2_by_mpmath,
 )
-from twinreg import data, describe, kernels, ols
+from twinreg import data, describe, floats, kernels, ols
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "loanloss_quarterly.csv"
 
@@ -59,79 +59,79 @@ def gamma_q_series(a: float, x: float) -> float:
 
 class TestRegIncBeta:
     def test_endpoints(self):
-        assert kernels.reg_inc_beta(2.0, 3.0, 0.0) == 0.0
-        assert kernels.reg_inc_beta(2.0, 3.0, 1.0) == 1.0
+        assert floats.reg_inc_beta(2.0, 3.0, 0.0) == 0.0
+        assert floats.reg_inc_beta(2.0, 3.0, 1.0) == 1.0
 
     def test_uniform_special_case(self):
         # I_x(1, 1) is the uniform CDF
         for x in (0.1, 0.25, 0.5, 0.9):
-            assert kernels.reg_inc_beta(1.0, 1.0, x) == pytest.approx(x, abs=1e-14)
+            assert floats.reg_inc_beta(1.0, 1.0, x) == pytest.approx(x, abs=1e-14)
 
     def test_integer_parameters_binomial_sum(self):
         cases = [(2, 3, 0.5), (1, 4, 0.2), (5, 2, 0.73), (7, 7, 0.41), (3, 9, 0.08)]
         for a, b, x in cases:
             want = inc_beta_binomial_sum(a, b, x)
-            assert kernels.reg_inc_beta(float(a), float(b), x) == pytest.approx(
+            assert floats.reg_inc_beta(float(a), float(b), x) == pytest.approx(
                 want, abs=1e-13
             )
         assert inc_beta_binomial_sum(2, 3, 0.5) == pytest.approx(11.0 / 16.0)
 
     def test_symmetry(self):
         for a, b, x in [(0.5, 4.0, 0.3), (14.5, 0.5, 0.97), (3.3, 2.2, 0.6)]:
-            lhs = kernels.reg_inc_beta(a, b, x)
-            rhs = 1.0 - kernels.reg_inc_beta(b, a, 1.0 - x)
+            lhs = floats.reg_inc_beta(a, b, x)
+            rhs = 1.0 - floats.reg_inc_beta(b, a, 1.0 - x)
             assert lhs == pytest.approx(rhs, abs=1e-13)
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 1.0, 41)
-        vals = [kernels.reg_inc_beta(2.7, 0.9, float(x)) for x in xs]
+        vals = [floats.reg_inc_beta(2.7, 0.9, float(x)) for x in xs]
         assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            kernels.reg_inc_beta(0.0, 1.0, 0.5)
+            floats.reg_inc_beta(0.0, 1.0, 0.5)
         with pytest.raises(ValueError):
-            kernels.reg_inc_beta(1.0, -1.0, 0.5)
+            floats.reg_inc_beta(1.0, -1.0, 0.5)
         with pytest.raises(ValueError):
-            kernels.reg_inc_beta(1.0, 1.0, 1.5)
+            floats.reg_inc_beta(1.0, 1.0, 1.5)
 
     def test_log_gamma_overflow_is_a_value_error(self):
         # lgamma overflows past ~2.56e305: a refusal naming the arguments,
         # not a bare OverflowError
         with pytest.raises(ValueError, match=r"a=1e\+306, b=2.0"):
-            kernels.reg_inc_beta(1e306, 2.0, 0.5)
+            floats.reg_inc_beta(1e306, 2.0, 0.5)
         with pytest.raises(ValueError, match=r"a=5e\+305, b=5e\+305"):
-            kernels.f_sf(2.0, 1e306, 1e306)
+            floats.f_sf(2.0, 1e306, 1e306)
 
 
 class TestStudentTSf2:
     def test_center_and_limits(self):
-        assert kernels.student_t_sf2(0.0, 29.0) == 1.0
-        assert kernels.student_t_sf2(math.inf, 5.0) == 0.0
-        assert kernels.student_t_sf2(-math.inf, 5.0) == 0.0
+        assert floats.student_t_sf2(0.0, 29.0) == 1.0
+        assert floats.student_t_sf2(math.inf, 5.0) == 0.0
+        assert floats.student_t_sf2(-math.inf, 5.0) == 0.0
 
     def test_even_in_t(self):
         for t in (0.3, 1.7, 2.05, 15.2):
-            assert kernels.student_t_sf2(t, 29.0) == kernels.student_t_sf2(-t, 29.0)
+            assert floats.student_t_sf2(t, 29.0) == floats.student_t_sf2(-t, 29.0)
 
     def test_df1_is_cauchy(self):
         # two-sided Cauchy tail has the closed form 1 - (2/pi) atan(t)
         for t in (0.5, 1.0, 3.0):
             want = 1.0 - 2.0 / math.pi * math.atan(t)
-            assert kernels.student_t_sf2(t, 1.0) == pytest.approx(want, rel=1e-12)
+            assert floats.student_t_sf2(t, 1.0) == pytest.approx(want, rel=1e-12)
 
     def test_against_quadrature(self):
         for t, df in [(2.05, 29.0), (1.38, 29.0), (2.36, 29.0), (4.0, 7.0)]:
             tail, _ = integrate.quad(t_density, t, math.inf, args=(df,))
-            assert kernels.student_t_sf2(t, df) == pytest.approx(2.0 * tail, rel=1e-9)
+            assert floats.student_t_sf2(t, df) == pytest.approx(2.0 * tail, rel=1e-9)
 
     def test_extreme_tail_window(self):
-        v = kernels.student_t_sf2(15.2, 29.0)
+        v = floats.student_t_sf2(15.2, 29.0)
         assert 2.3e-15 <= v <= 2.7e-15
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            kernels.student_t_sf2(1.0, 0.0)
+            floats.student_t_sf2(1.0, 0.0)
 
 
 def f_sf_with_endpoint_returns(f: float, df1: float, df2: float) -> float:
@@ -144,7 +144,7 @@ def f_sf_with_endpoint_returns(f: float, df1: float, df2: float) -> float:
         return 1.0
     if math.isinf(f):
         return 0.0
-    return kernels.reg_inc_beta(0.5 * df2, 0.5 * df1, df2 / (df2 + df1 * f))
+    return floats.reg_inc_beta(0.5 * df2, 0.5 * df1, df2 / (df2 + df1 * f))
 
 
 def outcome(fn, *args):
@@ -157,8 +157,8 @@ def outcome(fn, *args):
 
 class TestFSf:
     def test_limits(self):
-        assert kernels.f_sf(0.0, 3.0, 33.0) == 1.0
-        assert kernels.f_sf(math.inf, 3.0, 33.0) == 0.0
+        assert floats.f_sf(0.0, 3.0, 33.0) == 1.0
+        assert floats.f_sf(math.inf, 3.0, 33.0) == 0.0
 
     def test_same_bits_as_the_endpoint_returns(self):
         dfs = (1e-3, 0.5, 1.0, 2.5, 29.0, 1e3, 1e7)
@@ -166,65 +166,65 @@ class TestFSf:
             for df1 in dfs:
                 for df2 in dfs:
                     want = outcome(f_sf_with_endpoint_returns, f, df1, df2)
-                    assert outcome(kernels.f_sf, f, df1, df2) == want, (f, df1, df2)
+                    assert outcome(floats.f_sf, f, df1, df2) == want, (f, df1, df2)
 
     def test_square_of_t(self):
         # F(1, df) upper tail at t^2 is the two-sided t tail at t, to the bit
         ts = (0.0, -0.0, 1e-200, 0.3, -1.5, 2.4, 7.75, 40.0, 1e154, 1e200, math.inf, -math.inf)
         for t in ts:
             for df in (0.5, 1.0, 2.5, 12.0, 29.0, 1e6):
-                assert kernels.student_t_sf2(t, df) == kernels.f_sf(t * t, 1.0, df), (t, df)
+                assert floats.student_t_sf2(t, df) == floats.f_sf(t * t, 1.0, df), (t, df)
 
     def test_against_quadrature(self):
         for f, d1, d2 in [(4.26, 3.0, 33.0), (11.3, 9.0, 27.0), (0.7, 5.0, 20.0)]:
             tail, _ = integrate.quad(f_density, f, math.inf, args=(d1, d2))
-            assert kernels.f_sf(f, d1, d2) == pytest.approx(tail, rel=1e-8)
+            assert floats.f_sf(f, d1, d2) == pytest.approx(tail, rel=1e-8)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            kernels.f_sf(-0.1, 3.0, 33.0)
+            floats.f_sf(-0.1, 3.0, 33.0)
         with pytest.raises(ValueError):
-            kernels.f_sf(1.0, 0.0, 33.0)
+            floats.f_sf(1.0, 0.0, 33.0)
 
 
 class TestChi2Sf:
     def test_limits(self):
-        assert kernels.chi2_sf(0.0, 4.0) == 1.0
-        assert kernels.chi2_sf(math.inf, 4.0) == 0.0
+        assert floats.chi2_sf(0.0, 4.0) == 1.0
+        assert floats.chi2_sf(math.inf, 4.0) == 0.0
 
     def test_df2_exponential(self):
         # chi-squared with 2 df is Exp(1/2): tail is exp(-x/2)
         for x in (0.5, 3.0, 40.0):
-            assert kernels.chi2_sf(x, 2.0) == pytest.approx(math.exp(-x / 2), rel=1e-13)
+            assert floats.chi2_sf(x, 2.0) == pytest.approx(math.exp(-x / 2), rel=1e-13)
 
     def test_df4_closed_form(self):
         # even df gives a Poisson-sum tail; df=4: (1 + x/2) exp(-x/2)
         want = (1.0 + 2.5) * math.exp(-2.5)
-        assert kernels.chi2_sf(5.0, 4.0) == pytest.approx(want, rel=1e-13)
+        assert floats.chi2_sf(5.0, 4.0) == pytest.approx(want, rel=1e-13)
 
     def test_against_series(self):
         for x, df in [(1.2, 5.0), (5.0, 4.0), (9.9, 11.0), (0.3, 1.0)]:
-            assert kernels.chi2_sf(x, df) == pytest.approx(
+            assert floats.chi2_sf(x, df) == pytest.approx(
                 gamma_q_series(df / 2.0, x / 2.0), rel=1e-11
             )
 
     def test_normal_square(self):
         # chi-squared(1) tail at z^2 is the two-sided normal tail at z
         z = 1.959963984540054
-        assert kernels.chi2_sf(z * z, 1.0) == pytest.approx(0.05, rel=1e-9)
+        assert floats.chi2_sf(z * z, 1.0) == pytest.approx(0.05, rel=1e-9)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            kernels.chi2_sf(-1.0, 4.0)
+            floats.chi2_sf(-1.0, 4.0)
         with pytest.raises(ValueError):
-            kernels.chi2_sf(1.0, 0.0)
+            floats.chi2_sf(1.0, 0.0)
 
     def test_log_gamma_overflow_is_a_value_error(self):
         # lgamma(df / 2) overflows past df ~5.12e305, on either branch
         for x in (3.0, 1e307):
             with pytest.raises(ValueError, match=r"df=1e\+306"):
-                kernels.chi2_sf(x, 1e306)
-        assert kernels.chi2_sf(3.0, 1e305) == 1.0
+                floats.chi2_sf(x, 1e306)
+        assert floats.chi2_sf(3.0, 1e305) == 1.0
 
 
 class TestTailAccuracy:
@@ -257,7 +257,7 @@ class TestTailAccuracy:
     @pytest.mark.parametrize("df", [29, 36, 100, 272])
     def test_t_grid(self, df):
         ts = np.linspace(0.1, 12.0, 120).tolist()
-        errors = [relative_error(kernels.student_t_sf2(t, df), t_sf2_by_mpmath(t, df)) for t in ts]
+        errors = [relative_error(floats.student_t_sf2(t, df), t_sf2_by_mpmath(t, df)) for t in ts]
         assert max(errors) <= 5e-13
 
 

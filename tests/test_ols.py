@@ -66,7 +66,7 @@ class TestBuildDesign:
         )
         assert d.X.shape == (10, 8)
         assert np.array_equal(d.X[:, 0], np.ones(10))
-        assert np.array_equal(d.X[:, 1], frame.month_index.astype(float))
+        assert np.array_equal(d.X[:, 1], frame.month_index)
         assert np.array_equal(d.X[:, 7], frame.exp_claims)
         assert np.array_equal(d.y, frame.loss)
 
