@@ -4,8 +4,8 @@ The canonical input is a quarterly CSV with header
 ``date,loss,total_pop,ratio,aplir,ffr,av_claims`` (any column order).  Rows
 with any empty field carry no usable information and are dropped.  Remaining
 rows are validated in one pass, sorted by date, and turned column by column
-into a ModelFrame of tuples, of Python floats and ints, which are safe to
-share.  Its columns feed both regression engines:
+into a ModelFrame of tuples of finite Python floats and ints, safe to share.
+Its columns feed both regression engines:
 
 * ``adj_pop``    = total_pop / 1e8
 * ``adj_claims`` = av_claims / 1e6
@@ -21,13 +21,12 @@ import datetime
 import io
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DataError, ParseError
-from .floats import scale_exponent, scaled_back
+from .floats import require_finite, scale_exponent, scaled_back
 
 QUARTER_MONTHS = (1, 4, 7, 10)
 
@@ -216,6 +215,8 @@ def apply_transforms(obs: Sequence[Observation]) -> ModelFrame:
     repeated = next((a for a, b in zip(dates, dates[1:]) if a == b), None)
     if repeated is not None:
         raise DataError(f"duplicate date {repeated.isoformat()}")
+    for column, values in zip(CSV_COLUMNS[1:], (loss, total_pop, ratio, aplir, ffr, av_claims)):
+        require_finite(values, column, dates)
     months = [d.year * 12 + d.month - 1 for d in dates]  # since January of year 0
     return ModelFrame(
         dates=dates,
@@ -240,25 +241,19 @@ def aggregate_prior_month(
     daily: Iterable[tuple[datetime.date, float | None]],
     quarter_start: datetime.date,
 ) -> float:
-    """Mean of the non-empty values dated in the month before quarter_start, formed
-    at their power-of-two scale and returned through the output rule."""
+    """Mean of the non-empty values dated in the month before quarter_start: their
+    ``math.fsum`` at their power-of-two scale over their count, returned through the
+    output rule.  A value that is inf or nan is a DataError naming its date."""
     if not _is_quarter_start(quarter_start):
-        raise DataError(
-            f"{quarter_start.isoformat()} is not a quarter start ({_QUARTER_START_RULE})"
-        )
+        raise DataError(f"{quarter_start.isoformat()} is not a quarter start ({_QUARTER_START_RULE})")
     year, month = _prior_month(quarter_start)
-    vals = [
-        v
-        for d, v in daily
-        if v is not None and d.year == year and d.month == month
-    ]
-    if not vals:
-        raise DataError(
-            f"no usable values in the month preceding {quarter_start.isoformat()}"
-        )
+    picked = [(d, v) for d, v in daily if v is not None and d.year == year and d.month == month]
+    if not picked:
+        raise DataError(f"no usable values in the month preceding {quarter_start.isoformat()}")
+    dates, vals = zip(*picked)
+    require_finite(vals, "value", dates)
     exp = scale_exponent(vals)
-    # in input order; not sum(), which adds floats with compensation from Python 3.12 on
-    total = reduce(add, (math.ldexp(v, -exp) for v in vals), 0.0)
+    total = math.fsum(math.ldexp(v, -exp) for v in vals)
     what = f"mean of the month preceding {quarter_start.isoformat()}"
     return scaled_back(total / len(vals), exp, what)
 

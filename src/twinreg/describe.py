@@ -1,10 +1,10 @@
 """Descriptive statistics and one-way ANOVA, in Python floats without numpy.
 
 Both compute at the exact power-of-two scale ``floats.scale_exponent`` gives
-each column and add with ``floats.pairwise_sum``, in numpy's order, so every
-value has the bits numpy's mean, std and sort give, except that ``sorted``
-keeps 0 and -0 in input order; the summaries are scaled back through the
-output rule ``floats.scaled_back``, and F does not depend on the scale.
+each column and add with ``math.fsum``, the correctly rounded sum, so no
+value depends on the order of the terms, the Python version or the C
+library; the summaries are scaled back through the output rule
+``floats.scaled_back``, and F does not depend on the scale.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Hashable, Sequence
 
 from .data import ModelFrame
 from .errors import DataError
-from .floats import f_sf, pairwise_sum, scale_exponent, scaled_back
+from .floats import f_sf, require_finite, scale_exponent, scaled_back
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,11 @@ def summarize(frame: ModelFrame) -> list[SummaryRow]:
         raise DataError("cannot summarize an empty frame")
     rows = []
     for name, col in zip((*frame.names, "Loss"), [*frame.regressor_columns(), frame.loss]):
+        require_finite(col, repr(name), frame.dates)
         exp = scale_exponent(col)
         x = [math.ldexp(v, -exp) for v in col]
-        mean = pairwise_sum(x) / n
-        # as np.std(ddof=1) forms it: np.square is d * d, where ** is the C library's pow
-        squares = pairwise_sum([(v - mean) * (v - mean) for v in x])
+        mean = math.fsum(x) / n
+        squares = math.fsum([(v - mean) * (v - mean) for v in x])
         sd = math.sqrt(squares / (n - 1)) if n > 1 else 0.0
         ranked = sorted(x)
         stats = (mean, sd, median_of_sorted(ranked), ranked[0], ranked[-1])
@@ -80,19 +80,17 @@ def one_way_anova(
         raise DataError(f"ANOVA needs at least 2 groups, got {k}")
     if n <= k:
         raise DataError(f"ANOVA needs more observations than groups (n={n}, k={k})")
+    require_finite(y, f"{label} ANOVA value")
     exp = scale_exponent(y)  # F does not depend on the scale
     y = [math.ldexp(v, -exp) for v in y]
-    by_group: dict[Hashable, list[float]] = {}  # in order of first appearance
+    by_group: dict[Hashable, list[float]] = {}
     for v, g in zip(y, groups):
-        by_group.setdefault(g, []).append(v)  # each group's values in input order
-    grand = pairwise_sum(y) / n
-    ssb = ssw = 0.0
-    for sub in by_group.values():
-        mean = pairwise_sum(sub) / len(sub)
-        # ** is the C library's pow, as numpy's scalar ** is, and can differ from d * d
-        # in the last bit; |d| < 2 here, so it cannot overflow
-        ssb += len(sub) * (mean - grand) ** 2
-        ssw += pairwise_sum([(v - mean) * (v - mean) for v in sub])
+        by_group.setdefault(g, []).append(v)
+    grand = math.fsum(y) / n
+    means = [(math.fsum(sub) / len(sub), sub) for sub in by_group.values()]
+    # squares as d * d, not by the C library's pow, whose last bit varies by host
+    ssb = math.fsum(len(sub) * ((m - grand) * (m - grand)) for m, sub in means)
+    ssw = math.fsum([(v - m) * (v - m) for m, sub in means for v in sub])
     msb, msw = ssb / (k - 1), ssw / (n - k)
     if msw == 0.0:
         f = 0.0 if msb == 0.0 else math.inf

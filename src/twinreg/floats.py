@@ -1,4 +1,4 @@
-"""Distribution tails, the output rule for one float, and numpy's order of sums.
+"""Distribution tails, the output rule for one float, and a check that values are finite.
 
 Only the standard library is imported, so ``describe``, ``anova`` and
 ``aggregate`` run without numpy.  Each tail takes its log-gamma terms from
@@ -17,8 +17,6 @@ two-sided Student-t tail is the F(1, df) tail at t**2.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 from typing import Sequence
 
 from .errors import ConvergenceError, DataError
@@ -164,19 +162,9 @@ def scaled_back(x: float, e: int, what: str) -> float:
     return math.ldexp(x, e)
 
 
-def pairwise_sum(x: Sequence[float]) -> float:
-    """The sum of x, added as numpy's ``add.reduce`` adds a contiguous float64 row:
-    below 8 values in order; up to 128 in 8 running sums, joined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest in order; above, two halves,
-    the first rounded down to a multiple of 8.  A zero sum is +0.0, as the reduce
-    starts from +0.0; the sign of a zero part changes no other sum."""
-    n = len(x)
-    if n < 8:
-        return reduce(add, x, 0.0)
-    if n <= 128:
-        end = n - n % 8
-        r = [reduce(add, x[j:end:8]) for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, x[end:], 0.0 + total)
-    half = n // 2 - n // 2 % 8
-    return pairwise_sum(x[:half]) + pairwise_sum(x[half:])
+def require_finite(x: Sequence[float], what: str, labels: Sequence[object] = ()) -> None:
+    """A DataError naming ``what`` for the first inf or nan in x, and its label if any."""
+    if not all(map(math.isfinite, x)):
+        i = next(i for i, v in enumerate(x) if not math.isfinite(v))
+        at = f" on {labels[i]}" if i < len(labels) else ""
+        raise DataError(f"non-finite {what} {x[i]!r}{at}")

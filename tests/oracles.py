@@ -8,13 +8,17 @@ the exact double arguments the tail under test receives, and
 ``nig_posterior_by_mpmath`` is the conjugate update to 60 digits from the
 doubles the sampler reads.
 
-``numpy_summarize`` and ``numpy_one_way_anova`` are the numpy forms of
-``describe.summarize`` and ``describe.one_way_anova`` that the Python-float
-forms replaced, copied unchanged under new names: the bit-for-bit oracle
-for those.  They share the array output rule and ``f_sf`` with twinreg.
+``exact_sum`` adds doubles as rationals and rounds once, which is the
+correctly rounded sum.  ``exact_sum_summarize`` and
+``exact_sum_one_way_anova`` are the bit-for-bit oracles of
+``describe.summarize`` and ``describe.one_way_anova``: the earlier numpy
+forms of those stages, with numpy's sort, median and grouping, and every sum
+taken by ``exact_sum``.  They share the array output rule and ``f_sf`` with
+twinreg.
 """
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Hashable, Sequence
 
@@ -137,6 +141,59 @@ def nig_posterior_by_mpmath(d, fit, prior):
         return SimpleNamespace(a_n=a_n, b_n=b_n, loc=loc, scale=scale)
 
 
+def _numerators(x: Sequence[float]) -> tuple[list[int], int]:
+    """Integers a and a power of two d with x[i] == a[i] / d exactly."""
+    ratios = [v.as_integer_ratio() for v in x]
+    d = max(q for _, q in ratios)
+    return [p * (d // q) for p, q in ratios], d
+
+
+def exact_sum(xs: Sequence[float]) -> float:
+    """The sum of the doubles xs as a rational, rounded once: ``math.fsum``'s value.
+
+    It is ``float(sum(map(Fraction, xs), Fraction(0)))``, taken over one common
+    power-of-two denominator; int / int rounds once.
+    """
+    a, d = _numerators(xs)
+    return sum(a) / d
+
+
+def exact_mean_and_sd(x: Sequence[float]):
+    """The mean of the doubles x as a Fraction, and their sd (n-1 denominator) as a
+    50-digit mpf from the exact sum of squares."""
+    n = len(x)
+    a, d = _numerators(x)
+    total = sum(a)
+    squares = sum((n * v - total) ** 2 for v in a)  # n**2 d**2 times the sum of squares
+    with mpmath.workdps(50):
+        sd = mpmath.sqrt(mpmath.mpf(squares) / (n * n * (n - 1))) / d
+    return Fraction(total, n * d), sd
+
+
+def exact_anova_f(values: Sequence[float], groups: Sequence[Hashable]) -> Fraction:
+    """The one-way ANOVA's F of the doubles ``values``, as a Fraction."""
+    a, _ = _numerators(values)  # F does not depend on the common denominator
+    by_group: dict[Hashable, list[int]] = {}
+    for v, g in zip(a, groups):
+        by_group.setdefault(g, []).append(v)
+    k, n, total = len(by_group), len(a), sum(a)
+    ssb = ssw = Fraction(0)
+    for sub in by_group.values():
+        m, s = len(sub), sum(sub)
+        ssb += Fraction((n * s - m * total) ** 2, m * n * n)
+        ssw += Fraction(sum((m * v - s) ** 2 for v in sub), m * m)
+    return (ssb / (k - 1)) / (ssw / (n - k))
+
+
+def ulps_from(got: float, exact) -> float:
+    """|got - exact| in units in the last place of the exact value (a Fraction or
+    an mpf), rounded to a double."""
+    with mpmath.workdps(50):
+        if isinstance(exact, Fraction):
+            exact = mpmath.mpf(exact.numerator) / exact.denominator
+        return float(abs(mpmath.mpf(got) - exact) / math.ulp(float(exact)))
+
+
 def numpy_median_of_sorted(x: np.ndarray):
     """Median along the last axis of ascending rows, bit-identical to ``np.median``."""
     n = x.shape[-1]
@@ -145,7 +202,7 @@ def numpy_median_of_sorted(x: np.ndarray):
     return (x[..., n // 2 - 1] + x[..., n // 2]) / 2
 
 
-def numpy_summarize(frame: ModelFrame) -> list[SummaryRow]:
+def exact_sum_summarize(frame: ModelFrame) -> list[SummaryRow]:
     """One SummaryRow per variable; sd uses the n-1 denominator."""
     n = len(frame)
     if n == 0:
@@ -155,8 +212,11 @@ def numpy_summarize(frame: ModelFrame) -> list[SummaryRow]:
     exp = scale_exponent(cols, axis=1)[:, None]
     cols = np.ldexp(cols, -exp)
     ranked = np.sort(cols, axis=1)
+    mean = np.array([exact_sum(c) for c in cols.tolist()]) / n
+    dev = cols - mean[:, None]
+    squares = np.array([exact_sum(d) for d in (dev * dev).tolist()])
     stats = np.column_stack([  # mean, sd, median, min, max
-        cols.mean(axis=1), cols.std(axis=1, ddof=1) if n > 1 else np.zeros(len(cols)),
+        mean, np.sqrt(squares / (n - 1)) if n > 1 else np.zeros(len(cols)),
         numpy_median_of_sorted(ranked), ranked[:, 0], ranked[:, -1],
     ])
     what = [[f"{s} of {name!r}" for s in ("mean", "sd", "median", "min", "max")] for name in names]
@@ -164,7 +224,7 @@ def numpy_summarize(frame: ModelFrame) -> list[SummaryRow]:
     return [SummaryRow(name, *map(float, row)) for name, row in zip(names, rows)]
 
 
-def numpy_one_way_anova(
+def exact_sum_one_way_anova(
     values: Sequence[float],
     groups: Sequence[Hashable],
     label: str = "group",
@@ -183,24 +243,22 @@ def numpy_one_way_anova(
             f"ANOVA needs more observations than groups (n={n}, k={k})"
         )
     y = np.ldexp(y, -scale_exponent(y))  # F does not depend on the scale
-    ssb = 0.0
-    ssw = 0.0
-    # each group as one contiguous slice, its values in input order
+    between, within = [], []
+    # each group as one contiguous slice
     ys = y[np.argsort(codes, kind="stable")]
     ends = np.cumsum(np.bincount(codes)).tolist()
-    grand = y.mean()
+    grand = exact_sum(y.tolist()) / n
     for start, end in zip([0, *ends], ends):
         sub = ys[start:end]
-        mean = np.add.reduce(sub) / len(sub)
-        ssb += len(sub) * (mean - grand) ** 2
-        ssw += float(np.add.reduce(np.square(sub - mean)))
-    msb = ssb / (k - 1)
-    msw = ssw / (n - k)
+        mean = exact_sum(sub.tolist()) / len(sub)
+        between.append(len(sub) * ((mean - grand) * (mean - grand)))
+        within.extend(((sub - mean) * (sub - mean)).tolist())
+    msb = exact_sum(between) / (k - 1)
+    msw = exact_sum(within) / (n - k)
     if msw == 0.0:
         f = 0.0 if msb == 0.0 else math.inf
     else:
-        with np.errstate(over="ignore"):  # inf: the groups differ beyond a double's range
-            f = msb / msw
+        f = msb / msw  # inf: the groups differ beyond a double's range
     return AnovaResult(
         group_label=label,
         k=k,

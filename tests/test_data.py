@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import exact_sum
 from twinreg import (
     DataError,
     Observation,
@@ -247,6 +248,17 @@ class TestApplyTransforms:
         with pytest.raises(DataError, match="^duplicate date 2011-10-01$"):
             apply_transforms(obs[2:] + obs)
 
+    # parse_csv refuses inf and nan; Observations built another way are
+    # refused here, by the column and the date of the first one
+    @pytest.mark.parametrize("column", HEADER.split(",")[1:])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_is_named(self, column, bad):
+        obs = parse_csv(make_csv(row("2011-04-01"), row("2011-07-01"), row("2011-10-01")))
+        obs[1] = obs[1]._replace(**{column: bad})
+        obs[2] = obs[2]._replace(**{column: -bad})
+        with pytest.raises(DataError, match=f"^non-finite {column} {bad!r} on 2011-07-01$"):
+            apply_transforms(obs)
+
     def test_regressor_columns_order(self):
         frame = apply_transforms(parse_csv(make_csv(row("2011-04-01"), row("2011-07-01"))))
         cols = frame.regressor_columns()
@@ -340,18 +352,24 @@ class TestAggregatePriorMonth:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mean_has_the_bits_of_the_plain_sum_in_input_order(self, seed):
-        # the mean before it moved to the values' scale: sum() in input order,
-        # as Python 3.10 and 3.11 add, written as a loop for 3.12's compensated sum
+        # the plain sum in input order, taken over exact rationals and rounded once
         rng = random.Random(seed)
         for _ in range(200):
             scale = 2.0 ** rng.randint(-900, 900)  # the sums and the mean stay normal
             vals = [rng.uniform(-1, 1) * scale * rng.choice((1, 2**-40)) for _ in range(31)]
-            total = 0
-            for v in vals:
-                total += v
             daily = [(datetime.date(2011, 3, d), v) for d, v in enumerate(vals, 1)]
             got = aggregate_prior_month(daily, datetime.date(2011, 4, 1))
-            assert got.hex() == (total / len(vals)).hex()
+            assert got.hex() == (exact_sum(vals) / len(vals)).hex()
+
+    # parse_daily_csv refuses inf and nan; pairs built another way are refused
+    # here, by the date of the first one, and only in the month that is averaged
+    @pytest.mark.parametrize("bad", [[math.inf, -math.inf], [-math.inf], [math.nan, 1.0]])
+    def test_non_finite_value_is_named(self, bad):
+        daily = self.daily(("2011-02-01", math.nan), ("2011-03-01", 1.0))
+        daily += [(datetime.date(2011, 3, d), v) for d, v in enumerate(bad, 2)]
+        with pytest.raises(DataError, match=f"^non-finite value {bad[0]!r} on 2011-03-02$"):
+            aggregate_prior_month(daily, datetime.date(2011, 4, 1))
+        assert aggregate_prior_month(daily[:2], datetime.date(2011, 4, 1)) == 1.0
 
     def test_no_usable_values_raises(self):
         daily = self.daily(("2011-01-01", 5.0))
